@@ -127,9 +127,8 @@ fn main() {
     println!("  headline (B=4096, m=1024): {headline_speedup:.2}x");
 
     let json = format!(
-        "{{\"bench\":\"batched_estimate\",\"meta\":{},\"dim\":{DIM},\"simd_feature\":{},\"grid\":[{}],\"headline_speedup_b4096_m1024\":{headline_speedup:.3}}}",
+        "{{\"bench\":\"batched_estimate\",\"meta\":{},\"dim\":{DIM},\"grid\":[{}],\"headline_speedup_b4096_m1024\":{headline_speedup:.3}}}",
         quicksel_bench::host_meta_json(),
-        cfg!(feature = "simd"),
         lines.join(",")
     );
     println!("{json}");

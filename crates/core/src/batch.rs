@@ -38,9 +38,7 @@
 //! rounds identically and [`FrozenModel::estimate`] **compares equal**
 //! (`==`, which is bitwise up to zero signs) to the scalar estimate —
 //! the equivalence suite in `tests/batch_equivalence.rs` asserts exact
-//! equality, not a tolerance. The optional `simd` feature keeps this
-//! contract: it vectorizes only the element-wise overlap products (which
-//! have no reassociation freedom) and leaves the reduction sequential.
+//! equality, not a tolerance.
 //!
 //! # Blocking
 //!
@@ -128,12 +126,11 @@ impl FrozenModel {
         self.dim
     }
 
-    /// Hard dimensionality guard at every kernel entry point. The
-    /// explicit-SIMD path reads raw pointers from the column arrays, so
-    /// a mismatched probe must fail loudly here — in release builds too
-    /// — never reach the unsafe block. (An empty model has no supports
-    /// to define a dimensionality; its kernel loops never run, so any
-    /// probe is accepted and estimates 0.)
+    /// Hard dimensionality guard at every kernel entry point: a
+    /// mismatched probe must fail loudly here — in release builds too —
+    /// instead of being read against the wrong column slices. (An empty
+    /// model has no supports to define a dimensionality; its kernel
+    /// loops never run, so any probe is accepted and estimates 0.)
     #[inline]
     fn check_dim(&self, rect: &Rect) {
         assert!(
@@ -303,7 +300,14 @@ impl FrozenModel {
 
     /// Fills `ov[i]` with `|G_{z0+i} ∩ rect|` for one subpopulation
     /// block, as the left-to-right product of per-dimension overlap
-    /// lengths.
+    /// lengths: branch-free min/max arithmetic over contiguous columns,
+    /// written so LLVM auto-vectorizes it.
+    ///
+    /// The compare-select idiom (instead of `f64::min`/`max`) lowers
+    /// directly to `minpd`/`maxpd`; for the finite bounds a model can
+    /// hold the selected values are identical to the scalar path's
+    /// `minNum`/`maxNum` semantics (they differ only on NaN inputs,
+    /// which positive-volume supports cannot produce).
     #[inline]
     fn overlap_block(&self, rect: &Rect, z0: usize, ov: &mut [f64]) {
         debug_assert_eq!(rect.dim(), self.dim);
@@ -314,25 +318,7 @@ impl FrozenModel {
             ov.fill(1.0);
             return;
         }
-        #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-        if simd::avx2_enabled() {
-            // SAFETY: gated on runtime AVX2 detection.
-            unsafe { simd::overlap_block_avx2(self, rect, z0, ov) };
-            return;
-        }
-        self.overlap_block_portable(rect, z0, ov);
-    }
 
-    /// Portable overlap block: branch-free min/max arithmetic over
-    /// contiguous columns, written so LLVM auto-vectorizes it. Also the
-    /// runtime fallback of the `simd` path on non-AVX2 hosts.
-    ///
-    /// The compare-select idiom (instead of `f64::min`/`max`) lowers
-    /// directly to `minpd`/`maxpd`; for the finite bounds a model can
-    /// hold the selected values are identical to the scalar path's
-    /// `minNum`/`maxNum` semantics (they differ only on NaN inputs,
-    /// which positive-volume supports cannot produce).
-    fn overlap_block_portable(&self, rect: &Rect, z0: usize, ov: &mut [f64]) {
         #[inline(always)]
         fn overlap(lo: f64, hi: f64, q_lo: f64, q_hi: f64) -> f64 {
             let h = if hi < q_hi { hi } else { q_hi };
@@ -378,80 +364,6 @@ impl FrozenModel {
             // volume) out of the accumulator, exactly like the skips do.
             let term = if w != 0.0 && o > 0.0 { w * o * inv } else { 0.0 };
             *acc += term;
-        }
-    }
-}
-
-#[cfg(all(feature = "simd", target_arch = "x86_64"))]
-mod simd {
-    //! Explicit AVX2 lanes for the overlap block.
-    //!
-    //! Only the element-wise per-dimension products are vectorized; the
-    //! reduction stays sequential in [`super::FrozenModel::accumulate_block`],
-    //! so the `simd` feature keeps the module's exactness contract
-    //! (`min`/`max`/`sub`/`mul` are IEEE-deterministic per element — the
-    //! only freedom SIMD usually buys, reassociating a reduction, is
-    //! never exercised).
-
-    use super::FrozenModel;
-    use quicksel_geometry::Rect;
-    use std::arch::x86_64::{
-        _mm256_loadu_pd, _mm256_max_pd, _mm256_min_pd, _mm256_mul_pd, _mm256_set1_pd,
-        _mm256_setzero_pd, _mm256_storeu_pd, _mm256_sub_pd,
-    };
-    use std::sync::OnceLock;
-
-    /// Runtime AVX2 detection, memoized.
-    pub(super) fn avx2_enabled() -> bool {
-        static AVX2: OnceLock<bool> = OnceLock::new();
-        *AVX2.get_or_init(|| std::arch::is_x86_feature_detected!("avx2"))
-    }
-
-    /// AVX2 overlap block; same operand order as the portable loop.
-    ///
-    /// # Safety
-    /// The caller must have verified AVX2 support (see
-    /// [`avx2_enabled`]).
-    #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn overlap_block_avx2(
-        model: &FrozenModel,
-        rect: &Rect,
-        z0: usize,
-        ov: &mut [f64],
-    ) {
-        const LANES: usize = 4;
-        let m = model.len;
-        let n = ov.len();
-        let o = ov.as_mut_ptr();
-        for (d, side) in rect.sides().iter().enumerate() {
-            let base = d * m + z0;
-            let lo = model.lo.as_ptr().add(base);
-            let hi = model.hi.as_ptr().add(base);
-            let q_lo = _mm256_set1_pd(side.lo);
-            let q_hi = _mm256_set1_pd(side.hi);
-            let zero = _mm256_setzero_pd();
-            let mut i = 0usize;
-            while i + LANES <= n {
-                let l = _mm256_max_pd(_mm256_loadu_pd(lo.add(i)), q_lo);
-                let h = _mm256_min_pd(_mm256_loadu_pd(hi.add(i)), q_hi);
-                let len = _mm256_max_pd(_mm256_sub_pd(h, l), zero);
-                let v = if d == 0 {
-                    len
-                } else {
-                    _mm256_mul_pd(_mm256_loadu_pd(o.add(i) as *const f64), len)
-                };
-                _mm256_storeu_pd(o.add(i), v);
-                i += LANES;
-            }
-            while i < n {
-                let len = ((*hi.add(i)).min(side.hi) - (*lo.add(i)).max(side.lo)).max(0.0);
-                if d == 0 {
-                    *o.add(i) = len;
-                } else {
-                    *o.add(i) *= len;
-                }
-                i += 1;
-            }
         }
     }
 }

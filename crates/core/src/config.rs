@@ -67,11 +67,14 @@ pub struct QuickSelConfig {
     /// Budget on retained feedback history (observed queries, their
     /// workload points, and the trainer's cached constraint rows). When
     /// the history exceeds this, the oldest entries are compacted by
-    /// merge (bounding-box rect, count-weighted selectivity) rather than
-    /// dropped, so coverage of old regions survives eviction; the
-    /// trainer folds evicted rows *out* of its cached system as a
-    /// signed rank-k downdate. `usize::MAX` (the default) retains
-    /// everything and is bit-identical to the historic unbounded path.
+    /// merge rather than dropped: a merged pair keeps its bounding-box
+    /// rect, and its selectivity is the inclusion–exclusion estimate
+    /// clamped to `[max(sa, sb), min(1, sa + sb)]` for member
+    /// selectivities `sa`, `sb`. Coverage of old regions survives
+    /// eviction; the trainer folds evicted rows *out* of its cached
+    /// system as a signed rank-k downdate. `usize::MAX` (the default)
+    /// retains everything and is bit-identical to the historic
+    /// unbounded path.
     pub max_history: usize,
     /// Drift trigger: a warm refine whose constraint violation exceeds
     /// `drift_ratio ×` the tracked violation baseline (EWMA over recent

@@ -10,7 +10,7 @@ use crate::train::{train, IncrementalTrainer, TrainReport};
 use quicksel_data::{
     Estimate, EstimatorError, Learn, ObservedQuery, RefineOutcome, SnapshotSource,
 };
-use quicksel_geometry::{Domain, Predicate, Rect};
+use quicksel_geometry::{Domain, Rect};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::sync::Arc;
@@ -403,7 +403,7 @@ impl QuickSel {
     /// Enforces `config.max_history` by merge-oldest compaction: the
     /// oldest entries graduate into a bounded summary prefix, and within
     /// that prefix the adjacent pair whose bounding box inflates least
-    /// is merged (hull rect, count-weighted selectivity) until the
+    /// is merged (hull rect, inclusion–exclusion selectivity) until the
     /// history fits the budget. Merging never consumes the RNG and the
     /// pool is downsampled deterministically, so replayed feedback
     /// streams stay bit-exact; with `max_history = usize::MAX` this is
@@ -498,11 +498,6 @@ impl QuickSel {
         self.evicted_total += 1;
         self.evicted_since_refine += 1;
         self.history_dirty = true;
-    }
-
-    /// Convenience: estimate a conjunctive [`Predicate`].
-    pub fn estimate_pred(&self, pred: &Predicate) -> f64 {
-        self.estimate(&pred.to_rect(&self.domain))
     }
 
     /// Captures the estimator's complete learning state for persistence:
@@ -665,16 +660,12 @@ impl Estimate for QuickSel {
     /// equal). Snapshots pre-freeze at publish time instead; a live
     /// estimator freezes here because its model can change between
     /// calls.
-    fn estimate_many_into(&self, rects: &[Rect], out: &mut Vec<f64>) {
+    fn estimate_many(&self, rects: &[Rect]) -> Vec<f64> {
         match self.model.as_deref() {
             // One-element batches skip the freeze: the layout pass would
             // cost more than it amortizes.
-            Some(m) if rects.len() > 1 => FrozenModel::new(m).estimate_many_into(rects, out),
-            _ => {
-                out.clear();
-                out.reserve(rects.len());
-                out.extend(rects.iter().map(|r| self.estimate(r)));
-            }
+            Some(m) if rects.len() > 1 => FrozenModel::new(m).estimate_many(rects),
+            _ => rects.iter().map(|r| self.estimate(r)).collect(),
         }
     }
 

@@ -116,14 +116,10 @@ impl Estimate for ModelSnapshot {
     /// Compares equal (`==`) to per-rect
     /// [`estimate`](Estimate::estimate) — the kernel's exactness
     /// contract, see [`crate::batch`].
-    fn estimate_many_into(&self, rects: &[Rect], out: &mut Vec<f64>) {
+    fn estimate_many(&self, rects: &[Rect]) -> Vec<f64> {
         match &self.frozen {
-            Some(f) => f.estimate_many_into(rects, out),
-            None => {
-                out.clear();
-                out.reserve(rects.len());
-                out.extend(rects.iter().map(|r| estimate_model_or_prior(&self.domain, None, r)));
-            }
+            Some(f) => f.estimate_many(rects),
+            None => rects.iter().map(|r| estimate_model_or_prior(&self.domain, None, r)).collect(),
         }
     }
 

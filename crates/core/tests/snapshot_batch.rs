@@ -85,18 +85,3 @@ fn snapshot_prefreezes_and_batches_equal_scalar() {
         assert_eq!(e, frozen.estimate(p), "snapshot diverged from its own frozen kernel");
     }
 }
-
-#[test]
-fn estimate_many_into_reuses_buffers_cleanly() {
-    let qs = trained();
-    let snap = qs.snapshot();
-    let probes = probes();
-    let mut buf = vec![f64::NAN; 999];
-    snap.estimate_many_into(&probes, &mut buf);
-    assert_eq!(buf.len(), probes.len());
-    assert_eq!(buf, snap.estimate_many(&probes));
-    // A second reuse with a shorter batch shrinks the buffer.
-    snap.estimate_many_into(&probes[..3], &mut buf);
-    assert_eq!(buf.len(), 3);
-    assert_eq!(buf, snap.estimate_many(&probes[..3]));
-}

@@ -18,7 +18,7 @@
 //! reader threads.
 
 use crate::table::Table;
-use quicksel_geometry::{DnfRects, Interval, Rect};
+use quicksel_geometry::{Interval, Rect};
 use quicksel_linalg::LinalgError;
 use std::sync::Arc;
 
@@ -235,31 +235,14 @@ pub trait Estimate {
     /// Estimates the selectivity of a new predicate rectangle, in `[0, 1]`.
     fn estimate(&self, rect: &Rect) -> f64;
 
-    /// Estimates a batch of predicate rectangles.
+    /// Estimates a batch of predicate rectangles, in input order.
     ///
-    /// The default delegates to
-    /// [`estimate_many_into`](Self::estimate_many_into) with a fresh
-    /// buffer. The result must equal element-wise single-call
-    /// estimation.
+    /// This is the batch primitive: the default maps
+    /// [`estimate`](Self::estimate), and implementations with an
+    /// amortizable setup (SoA model freezing, snapshot loading) override
+    /// it. The result must equal element-wise single-call estimation.
     fn estimate_many(&self, rects: &[Rect]) -> Vec<f64> {
-        let mut out = Vec::with_capacity(rects.len());
-        self.estimate_many_into(rects, &mut out);
-        out
-    }
-
-    /// Estimates a batch of predicate rectangles into a caller-provided
-    /// buffer, which is cleared first — steady-state serving loops reuse
-    /// one allocation across calls.
-    ///
-    /// This is the batch primitive: the scalar-mapping default stays as
-    /// the fallback, and implementations with an amortizable setup (SoA
-    /// model freezing, snapshot loading) override **this** method —
-    /// [`estimate_many`](Self::estimate_many) then follows for free. The
-    /// result must equal element-wise single-call estimation.
-    fn estimate_many_into(&self, rects: &[Rect], out: &mut Vec<f64>) {
-        out.clear();
-        out.reserve(rects.len());
-        out.extend(rects.iter().map(|r| self.estimate(r)));
+        rects.iter().map(|r| self.estimate(r)).collect()
     }
 
     /// Gather form of [`estimate_many`](Self::estimate_many): estimates
@@ -269,23 +252,11 @@ pub trait Estimate {
     /// caller batch into per-shard subsets; this entry point makes that
     /// regrouping index shuffling instead of rectangle cloning. The
     /// default maps [`estimate`](Self::estimate); batched implementors
-    /// override it alongside
-    /// [`estimate_many_into`](Self::estimate_many_into). The result
-    /// must equal element-wise single-call estimation of the gathered
-    /// rects.
+    /// override it alongside [`estimate_many`](Self::estimate_many). The
+    /// result must equal element-wise single-call estimation of the
+    /// gathered rects.
     fn estimate_gather(&self, rects: &[Rect], indexes: &[usize]) -> Vec<f64> {
         indexes.iter().map(|&i| self.estimate(&rects[i])).collect()
-    }
-
-    /// Estimates the selectivity of a DNF region (disjunctions/negations
-    /// lowered by [`BoolExpr::to_dnf`](quicksel_geometry::BoolExpr::to_dnf)).
-    ///
-    /// The default sums per-rectangle estimates, which is exact for the
-    /// *disjoint* rectangles `to_dnf` produces (§2.2 of the paper:
-    /// disjunctions reduce to rectangle unions). Callers passing
-    /// hand-built overlapping rect sets should dedupe them first.
-    fn estimate_dnf(&self, dnf: &DnfRects) -> f64 {
-        dnf.rects().iter().map(|r| self.estimate(r)).sum::<f64>().clamp(0.0, 1.0)
     }
 
     /// Number of model parameters currently held (buckets, subpopulation
@@ -399,14 +370,8 @@ impl<T: Estimate + ?Sized> Estimate for Box<T> {
     fn estimate_many(&self, rects: &[Rect]) -> Vec<f64> {
         (**self).estimate_many(rects)
     }
-    fn estimate_many_into(&self, rects: &[Rect], out: &mut Vec<f64>) {
-        (**self).estimate_many_into(rects, out)
-    }
     fn estimate_gather(&self, rects: &[Rect], indexes: &[usize]) -> Vec<f64> {
         (**self).estimate_gather(rects, indexes)
-    }
-    fn estimate_dnf(&self, dnf: &DnfRects) -> f64 {
-        (**self).estimate_dnf(dnf)
     }
     fn param_count(&self) -> usize {
         (**self).param_count()
@@ -498,22 +463,6 @@ mod tests {
         for (r, m) in rects.iter().zip(&many) {
             assert_eq!(e.estimate(r), *m);
         }
-    }
-
-    #[test]
-    fn estimate_dnf_sums_disjoint_rects() {
-        use quicksel_geometry::{BoolExpr, Predicate};
-        let domain = Domain::of_reals(&[("x", 0.0, 10.0)]);
-        // Constant estimator returns 0.3 per rect; a 2-term DNF sums to 0.6.
-        let e = Constant(0.3);
-        let expr = BoolExpr::pred(Predicate::new().range(0, 0.0, 2.0))
-            .or(BoolExpr::pred(Predicate::new().range(0, 5.0, 7.0)));
-        let dnf = expr.to_dnf(&domain);
-        assert_eq!(dnf.rects().len(), 2);
-        assert!((e.estimate_dnf(&dnf) - 0.6).abs() < 1e-12);
-        // And the sum clamps at 1.
-        let e = Constant(0.8);
-        assert_eq!(e.estimate_dnf(&dnf), 1.0);
     }
 
     #[test]

@@ -186,16 +186,12 @@ mod tests {
         batches: std::cell::RefCell<Vec<usize>>,
     }
     impl CardinalityProvider for BatchSpy<'_> {
-        fn estimate(&self, table: &TableId, pred: &Predicate) -> f64 {
-            self.batches.borrow_mut().push(1);
-            self.inner.estimate(table, pred)
-        }
         fn estimate_many(&self, table: &TableId, preds: &[Predicate]) -> Vec<f64> {
             self.batches.borrow_mut().push(preds.len());
             self.inner.estimate_many(table, preds)
         }
-        fn observe(&self, table: &TableId, feedback: &quicksel_data::ObservedQuery) {
-            self.inner.observe(table, feedback);
+        fn observe_batch(&self, table: &TableId, batch: &[quicksel_data::ObservedQuery]) {
+            self.inner.observe_batch(table, batch);
         }
         fn sync_data(&self, table: &TableId, data: &quicksel_data::Table, changed_rows: usize) {
             self.inner.sync_data(table, data, changed_rows);

@@ -68,8 +68,8 @@ fn dot_portable(x: &[f64], y: &[f64]) -> f64 {
 
 #[cfg(target_arch = "x86_64")]
 mod x86 {
-    //! Explicit AVX2+FMA lanes for the dot kernel (runtime-dispatched,
-    //! no cargo feature needed — mirrors `quicksel_core::batch::simd`).
+    //! Explicit AVX2+FMA lanes for the dot kernel, picked at run time by
+    //! CPU feature detection (no cargo feature needed).
 
     use std::arch::x86_64::{
         _mm256_add_pd, _mm256_castpd256_pd128, _mm256_extractf128_pd, _mm256_fmadd_pd,

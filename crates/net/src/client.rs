@@ -717,20 +717,12 @@ impl RemoteProvider {
 }
 
 impl CardinalityProvider for RemoteProvider {
-    fn estimate(&self, table: &TableId, pred: &Predicate) -> f64 {
-        self.estimate_many(table, std::slice::from_ref(pred)).first().copied().unwrap_or(1.0)
-    }
-
     fn estimate_many(&self, table: &TableId, preds: &[Predicate]) -> Vec<f64> {
         let Some(domain) = self.domains.get(table) else {
             return vec![1.0; preds.len()];
         };
         let rects: Vec<Rect> = preds.iter().map(|p| p.to_rect(domain)).collect();
         self.estimate_rects(table, &rects)
-    }
-
-    fn observe(&self, table: &TableId, feedback: &ObservedQuery) {
-        self.observe_batch(table, std::slice::from_ref(feedback));
     }
 
     fn observe_batch(&self, table: &TableId, batch: &[ObservedQuery]) {

@@ -20,13 +20,20 @@
 //! * [`ShardedService`] — N services over one domain with deterministic
 //!   predicate-hash feedback routing: one writer per shard, zero
 //!   cross-shard write contention, explicit per-shard backpressure
-//!   ([`ShardedIngest::try_observe`]).
+//!   ([`ShardedIngest::try_observe`]), and one routed read path,
+//!   [`ShardedService::estimate_many`] (owning shard, or a cross-shard
+//!   blend for wide probes).
 //! * [`EstimatorRegistry`] — `TableId -> ShardedService`: one sharded
 //!   estimator per table behind the planner-facing
-//!   [`CardinalityProvider`] API ([`estimate`](CardinalityProvider::estimate)
-//!   by table + predicate, [`observe`](CardinalityProvider::observe)
-//!   feedback, an [`estimate_join`](CardinalityProvider::estimate_join)
-//!   hook).
+//!   [`CardinalityProvider`] API: batched
+//!   [`estimate_many`](CardinalityProvider::estimate_many) by table +
+//!   predicates and [`observe_batch`](CardinalityProvider::observe_batch)
+//!   feedback, plus an
+//!   [`estimate_join`](CardinalityProvider::estimate_join) hook. Every
+//!   provider implements only the batched calls; the scalar
+//!   [`estimate`](CardinalityProvider::estimate) /
+//!   [`observe`](CardinalityProvider::observe) are provided
+//!   batch-of-one wrappers, so there is one path per operation.
 //! * [`CachedProvider`] — a per-thread registry wrapper that re-uses
 //!   shard snapshots while the shard's version is unchanged, dropping
 //!   even the `ArcCell` atomics from repeated planner probes.
@@ -85,10 +92,7 @@ pub use service::{
     HealthState, IngestHandle, IngestRejection, SelectivityService, ServiceStats, ShardRecovery,
     SharedSnapshot,
 };
-pub use shard::{
-    EstimateRoute, ShardRejection, ShardedIngest, ShardedService, ShardedStats,
-    DEFAULT_BLEND_THRESHOLD,
-};
+pub use shard::{ShardRejection, ShardedIngest, ShardedService, ShardedStats, BLEND_THRESHOLD};
 pub use swap::ArcCell;
 
 /// A registry over boxed heterogeneous learners: any mix of

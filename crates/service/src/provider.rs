@@ -82,19 +82,20 @@ impl fmt::Display for TableId {
 /// conservative answer — the planner falls back to the sequential scan)
 /// and drop feedback rather than panic.
 pub trait CardinalityProvider {
-    /// Selectivity estimate in `[0, 1]` for `pred` on `table`.
-    fn estimate(&self, table: &TableId, pred: &Predicate) -> f64;
-
-    /// Selectivity estimates for a batch of predicates on one table, in
-    /// input order — the planner's candidate-plan probe path.
+    /// Selectivity estimates in `[0, 1]` for a batch of predicates on one
+    /// table, in input order — the planner's candidate-plan probe path
+    /// and the one estimate path every provider implements.
     ///
-    /// The default maps [`estimate`](Self::estimate); serving-backed
-    /// providers override it to resolve the table once and answer the
+    /// Serving-backed providers resolve the table once and answer the
     /// whole batch from coherent model snapshots through the batched SoA
     /// kernel. Results must equal element-wise single-probe estimation
     /// (at a fixed model version).
-    fn estimate_many(&self, table: &TableId, preds: &[Predicate]) -> Vec<f64> {
-        preds.iter().map(|p| self.estimate(table, p)).collect()
+    fn estimate_many(&self, table: &TableId, preds: &[Predicate]) -> Vec<f64>;
+
+    /// Selectivity estimate in `[0, 1]` for `pred` on `table`: a batch of
+    /// one through [`estimate_many`](Self::estimate_many).
+    fn estimate(&self, table: &TableId, pred: &Predicate) -> f64 {
+        self.estimate_many(table, std::slice::from_ref(pred)).first().copied().unwrap_or(1.0)
     }
 
     /// Join-cardinality hook: estimates `|σ_p(R) ⋈ σ_q(S)|` from the
@@ -113,16 +114,16 @@ pub trait CardinalityProvider {
         base_join_cardinality * self.estimate(left, left_pred) * self.estimate(right, right_pred)
     }
 
-    /// Feeds one executed query's observed selectivity back into
-    /// `table`'s estimator. Unknown tables drop the feedback (counted by
+    /// Feeds a batch of executed queries' observed selectivities back
+    /// into `table`'s estimator — the one feedback path every provider
+    /// implements. Unknown tables drop the feedback (counted by
     /// implementations that track stats).
-    fn observe(&self, table: &TableId, feedback: &ObservedQuery);
+    fn observe_batch(&self, table: &TableId, batch: &[ObservedQuery]);
 
-    /// Batch variant of [`observe`](Self::observe); the default loops.
-    fn observe_batch(&self, table: &TableId, batch: &[ObservedQuery]) {
-        for q in batch {
-            self.observe(table, q);
-        }
+    /// Feeds one observation back: a batch of one through
+    /// [`observe_batch`](Self::observe_batch).
+    fn observe(&self, table: &TableId, feedback: &ObservedQuery) {
+        self.observe_batch(table, std::slice::from_ref(feedback));
     }
 
     /// Notifies `table`'s estimator that `changed_rows` rows churned.
@@ -230,14 +231,14 @@ impl<L: SnapshotSource> CachedProvider<L> {
         self.cache.borrow_mut().clear();
     }
 
-    /// The shared front half of every cached probe: revalidates against
-    /// registry DDL (registration/removal bumps the generation — one
-    /// atomic load per probe; stale table→service resolutions must not
-    /// keep serving a dead service's snapshots), then resolves `table`'s
-    /// cache entry to position 0, moving it to the front so the hot
-    /// table stays a one-compare hit. Returns `false` when the registry
-    /// doesn't know the table — the caller degrades through the
-    /// registry's own conservative fallback.
+    /// The front half of a cached batch: revalidates against registry
+    /// DDL (registration/removal bumps the generation — one atomic load
+    /// per batch; stale table→service resolutions must not keep serving
+    /// a dead service's snapshots), then resolves `table`'s cache entry
+    /// to position 0, moving it to the front so the hot table stays a
+    /// one-compare hit. Returns `false` when the registry doesn't know
+    /// the table — the caller degrades through the registry's own
+    /// conservative fallback.
     fn resolve_entry(&self, cache: &mut Vec<(TableId, TableCache<L>)>, table: &TableId) -> bool {
         let generation = self.registry.generation();
         if generation != self.generation.get() {
@@ -260,36 +261,6 @@ impl<L: SnapshotSource> CachedProvider<L> {
 }
 
 impl<L: SnapshotSource> CardinalityProvider for CachedProvider<L> {
-    fn estimate(&self, table: &TableId, pred: &Predicate) -> f64 {
-        let mut cache = self.cache.borrow_mut();
-        if !self.resolve_entry(&mut cache, table) {
-            drop(cache);
-            return self.registry.estimate(table, pred);
-        }
-        let entry = &mut cache[0].1;
-        let rect = pred.to_rect(entry.service.domain());
-        // One dispatch rule for cached and uncached paths: the service
-        // decides. Wide probes blend across all shards and are served
-        // uncached by design (the blend reads per-shard publish state).
-        let s = match entry.service.route_estimate(&rect) {
-            crate::shard::EstimateRoute::Blend => return entry.service.estimate_blended(&rect),
-            crate::shard::EstimateRoute::Shard(s) => s,
-        };
-        let shard = entry.service.shard(s);
-        let version = shard.version();
-        if let Some((cached_version, snapshot)) = &entry.shards[s] {
-            if *cached_version == version {
-                self.hits.set(self.hits.get() + 1);
-                return snapshot.estimate(&rect);
-            }
-        }
-        self.misses.set(self.misses.get() + 1);
-        let snapshot = shard.snapshot();
-        let est = snapshot.estimate(&rect);
-        entry.shards[s] = Some((version, snapshot));
-        est
-    }
-
     /// Batched probes through the per-thread snapshot cache: the table is
     /// resolved once, rects are grouped by routing shard, each group is
     /// answered by one (cached or freshly loaded) snapshot through the
@@ -326,10 +297,6 @@ impl<L: SnapshotSource> CardinalityProvider for CachedProvider<L> {
             cached_shards[s] = Some((version, Arc::clone(&snap)));
             snap
         })
-    }
-
-    fn observe(&self, table: &TableId, feedback: &ObservedQuery) {
-        self.registry.observe(table, feedback);
     }
 
     fn observe_batch(&self, table: &TableId, batch: &[ObservedQuery]) {
@@ -419,16 +386,6 @@ impl LearnerProvider {
 }
 
 impl CardinalityProvider for LearnerProvider {
-    fn estimate(&self, table: &TableId, pred: &Predicate) -> f64 {
-        match self.entry(table) {
-            Some(e) => {
-                let rect = pred.to_rect(&e.domain);
-                e.learner.lock().expect("provider learner lock poisoned").estimate(&rect)
-            }
-            None => 1.0,
-        }
-    }
-
     /// Batched probes under one lock acquisition: the learner is locked
     /// once for the whole batch and answers through its own
     /// [`Estimate::estimate_many`] (for QuickSel, the SoA kernel with a
@@ -440,13 +397,6 @@ impl CardinalityProvider for LearnerProvider {
                 e.learner.lock().expect("provider learner lock poisoned").estimate_many(&rects)
             }
             None => vec![1.0; preds.len()],
-        }
-    }
-
-    fn observe(&self, table: &TableId, feedback: &ObservedQuery) {
-        if let Some(e) = self.entry(table) {
-            e.learner.lock().expect("provider learner lock poisoned").observe(feedback);
-            e.version.fetch_add(1, SeqCst);
         }
     }
 
@@ -530,6 +480,19 @@ mod tests {
         let d = cached.estimate(&t, &pred);
         assert_eq!(cached.cache_hits(), 2);
         assert_eq!(c, d);
+    }
+
+    #[test]
+    fn cached_scalar_probes_count_toward_the_estimate_rate() {
+        let reg = registry(1);
+        let cached = CachedProvider::new(Arc::clone(&reg));
+        let t: TableId = "t".into();
+        let pred = Predicate::new().range(0, 1.0, 3.0);
+        for _ in 0..100 {
+            cached.estimate(&t, &pred);
+        }
+        let rate = reg.stats().total.estimate_rects_per_s;
+        assert!(rate >= 100.0 / crate::RATE_WINDOW_SECS as f64, "estimate rate {rate}");
     }
 
     #[test]

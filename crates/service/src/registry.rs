@@ -509,16 +509,6 @@ pub struct RecoveryReport {
 }
 
 impl<L: SnapshotSource> CardinalityProvider for EstimatorRegistry<L> {
-    fn estimate(&self, table: &TableId, pred: &Predicate) -> f64 {
-        match self.get(table) {
-            Some(svc) => svc.estimate(&pred.to_rect(svc.domain())),
-            None => {
-                self.missing_table_probes.fetch_add(1, SeqCst);
-                1.0
-            }
-        }
-    }
-
     /// Batched probes resolve the table **once** and answer through the
     /// service's coherent batched path (one snapshot per routing shard,
     /// SoA kernel underneath). Unknown tables degrade to all-`1.0` and
@@ -536,22 +526,11 @@ impl<L: SnapshotSource> CardinalityProvider for EstimatorRegistry<L> {
         }
     }
 
-    fn observe(&self, table: &TableId, feedback: &ObservedQuery) {
+    fn observe_batch(&self, table: &TableId, batch: &[ObservedQuery]) {
         match self.get(table) {
             // Ingest errors surface through shard stats and the learner's
             // `last_error`; the feedback loop itself must never panic the
             // executor.
-            Some(svc) => {
-                let _ = svc.observe(feedback);
-            }
-            None => {
-                self.dropped_feedback.fetch_add(1, SeqCst);
-            }
-        }
-    }
-
-    fn observe_batch(&self, table: &TableId, batch: &[ObservedQuery]) {
-        match self.get(table) {
             Some(svc) => {
                 let _ = svc.observe_batch(batch);
             }

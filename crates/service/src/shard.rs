@@ -31,9 +31,9 @@ use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering::SeqCst};
 use std::sync::Arc;
 
-/// Fraction of the domain volume above which a probe is answered by the
-/// cross-shard blend instead of its owning shard alone.
-pub const DEFAULT_BLEND_THRESHOLD: f64 = 0.5;
+/// Fraction of the domain volume at or above which a probe is answered
+/// by the cross-shard blend instead of its owning shard alone.
+pub const BLEND_THRESHOLD: f64 = 0.5;
 
 /// Minimum total gathered estimates in a batched read before per-shard
 /// groups fan out on the workspace pool; below this the snapshot
@@ -62,16 +62,6 @@ impl ShardedStats {
     }
 }
 
-/// How a [`ShardedService`] will answer one rectangle; see
-/// [`ShardedService::route_estimate`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum EstimateRoute {
-    /// Wide probe: blend all shards ([`ShardedService::estimate_blended`]).
-    Blend,
-    /// Narrow probe: the owning shard answers alone.
-    Shard(usize),
-}
-
 /// A feedback-partitioned bank of [`SelectivityService`] shards over one
 /// table's domain.
 ///
@@ -85,15 +75,14 @@ pub enum EstimateRoute {
 ///   shards never contend. For a dedicated writer thread per shard, use
 ///   [`partition_batch`](Self::partition_batch) + [`shard`](Self::shard),
 ///   or the background path [`start_ingest`](Self::start_ingest).
-/// * **Reads** stay lock-free: [`estimate`](Self::estimate) loads the
-///   owning shard's snapshot (or blends all shards for very wide
-///   probes — see the module docs).
+/// * **Reads** stay lock-free: [`estimate_many`](Self::estimate_many)
+///   loads the owning shard's snapshot (or blends all shards for very
+///   wide probes — see the module docs).
 pub struct ShardedService<L: SnapshotSource> {
     domain: Domain,
     full_volume: f64,
     shards: Vec<Arc<SelectivityService<L>>>,
     backpressure: Vec<AtomicU64>,
-    blend_threshold: f64,
 }
 
 impl<L: SnapshotSource> ShardedService<L> {
@@ -112,16 +101,7 @@ impl<L: SnapshotSource> ShardedService<L> {
                 .map(|i| Arc::new(SelectivityService::new(make_learner(i))))
                 .collect(),
             backpressure: (0..shards).map(|_| AtomicU64::new(0)).collect(),
-            blend_threshold: DEFAULT_BLEND_THRESHOLD,
         }
-    }
-
-    /// Overrides the blend threshold (fraction of the domain volume above
-    /// which probes are answered by the cross-shard blend). `>= 1.0`
-    /// disables blending entirely; `0.0` blends every probe.
-    pub fn with_blend_threshold(mut self, threshold: f64) -> Self {
-        self.blend_threshold = threshold;
-        self
     }
 
     /// The table domain this service estimates over.
@@ -209,62 +189,48 @@ impl<L: SnapshotSource> ShardedService<L> {
         }
     }
 
-    /// Convenience: one observation, routed to its owning shard.
+    /// One observation: a batch of one through
+    /// [`observe_batch`](Self::observe_batch).
     pub fn observe(&self, query: &ObservedQuery) -> Result<(), EstimatorError> {
-        self.shards[self.shard_for(&query.rect)]
-            .observe_batch(std::slice::from_ref(query))
-            .map(|_| ())
+        self.observe_batch(std::slice::from_ref(query))
     }
 
-    /// How [`estimate`](Self::estimate) will answer a rectangle: the
-    /// single source of truth for the blend-vs-owning-shard decision,
-    /// shared with the cached read path so cached and uncached answers
-    /// can never diverge on dispatch.
-    pub fn route_estimate(&self, rect: &Rect) -> EstimateRoute {
-        if self.shards.len() > 1 && self.spans_partitions(rect) {
-            EstimateRoute::Blend
-        } else {
-            EstimateRoute::Shard(self.shard_for(rect))
-        }
-    }
-
-    /// Estimates one rectangle: the owning shard answers, unless the
-    /// rectangle spans at least the blend-threshold fraction of the
-    /// domain, in which case all shards are blended (weighted by feedback
-    /// ingested). Lock-free either way.
+    /// Estimates one rectangle: a batch of one through
+    /// [`estimate_many`](Self::estimate_many).
     pub fn estimate(&self, rect: &Rect) -> f64 {
-        match self.route_estimate(rect) {
-            EstimateRoute::Blend => self.estimate_blended(rect),
-            EstimateRoute::Shard(i) => self.shards[i].estimate(rect),
-        }
+        self.estimate_many(std::slice::from_ref(rect))[0]
     }
 
-    /// Estimates a batch of rectangles coherently: rects are grouped by
-    /// [`route_estimate`](Self::route_estimate), each shard-routed group
-    /// is answered by **one** snapshot of its owning shard (loaded once,
-    /// batch-estimated through the SoA kernel), and blend-routed rects go
-    /// through [`estimate_many_blended`](Self::estimate_many_blended).
+    /// Estimates a batch of rectangles coherently — the one read path.
+    /// The owning shard ([`shard_for`](Self::shard_for)) answers each
+    /// rect, unless the rect [`spans_partitions`](Self::spans_partitions)
+    /// of a multi-shard service, in which case all shards are blended
+    /// (weighted by feedback published). Each shard-routed group is
+    /// answered by **one** snapshot of its owning shard (loaded once,
+    /// batch-estimated through the SoA kernel); blend-routed rects load
+    /// every shard's snapshot once for the whole batch. Lock-free
+    /// either way.
     ///
     /// Two guarantees follow:
     ///
     /// * **Coherence** — all rects of one call that route to the same
     ///   shard are answered from a single model version, even while that
-    ///   shard's writer publishes concurrently (the per-rect scalar path
-    ///   would reload the snapshot per rect and could straddle a
-    ///   publish).
-    /// * **Equivalence** — at a fixed version the results compare equal
-    ///   (`==`) to per-rect [`estimate`](Self::estimate) (the kernel's
-    ///   exactness contract plus identical blend arithmetic).
+    ///   shard's writer publishes concurrently.
+    /// * **Equivalence** — at a fixed version each result compares equal
+    ///   (`==`) to the owning shard's scalar snapshot estimate, or to the
+    ///   blend of the per-shard scalar estimates in shard order (the
+    ///   kernel's exactness contract plus a serial blend fold).
     pub fn estimate_many(&self, rects: &[Rect]) -> Vec<f64> {
         self.estimate_many_with(rects, |shard, _| self.shards[shard].snapshot())
     }
 
-    /// The one group-and-scatter core behind every batched read path:
-    /// routes each rect ([`route_estimate`](Self::route_estimate)),
-    /// answers each shard-routed group from the **single** snapshot
+    /// The one group-and-scatter core behind every read path: routes
+    /// each rect (blend when it [`spans_partitions`](Self::spans_partitions),
+    /// otherwise its [`shard_for`](Self::shard_for) owner), answers each
+    /// shard-routed group from the **single** snapshot
     /// `snapshot_for_shard(shard, group_len)` returns (called at most
-    /// once per shard per call), and dispatches blend-routed rects
-    /// through [`estimate_many_blended`](Self::estimate_many_blended).
+    /// once per shard per call), and blends the wide rects across every
+    /// shard.
     ///
     /// [`estimate_many`](Self::estimate_many) plugs in a plain
     /// `snapshot()` load; [`CachedProvider`](crate::CachedProvider)
@@ -289,9 +255,10 @@ impl<L: SnapshotSource> ShardedService<L> {
         let mut per_shard: Vec<Vec<usize>> = vec![Vec::new(); self.shards.len()];
         let mut blended: Vec<usize> = Vec::new();
         for (i, rect) in rects.iter().enumerate() {
-            match self.route_estimate(rect) {
-                EstimateRoute::Blend => blended.push(i),
-                EstimateRoute::Shard(s) => per_shard[s].push(i),
+            if self.spans_partitions(rect) {
+                blended.push(i);
+            } else {
+                per_shard[self.shard_for(rect)].push(i);
             }
         }
         // Resolve snapshots serially (the provider hook is `FnMut` and
@@ -329,18 +296,15 @@ impl<L: SnapshotSource> ShardedService<L> {
         out
     }
 
-    /// True when `rect` is wide enough that its selectivity is shaped by
-    /// feedback routed to *other* shards, i.e. the blend path applies.
-    /// Always false when the blend threshold is `>= 1.0` (blending
-    /// disabled, as [`with_blend_threshold`](Self::with_blend_threshold)
-    /// documents) — even for a probe covering the whole domain.
+    /// True when `rect` covers at least [`BLEND_THRESHOLD`] of the domain
+    /// volume: wide enough that its selectivity is shaped by feedback
+    /// routed to *other* shards, so a multi-shard service blends it.
     pub fn spans_partitions(&self, rect: &Rect) -> bool {
-        self.blend_threshold < 1.0
-            && self.full_volume > 0.0
-            && rect.volume() >= self.blend_threshold * self.full_volume
+        self.full_volume > 0.0 && rect.volume() >= BLEND_THRESHOLD * self.full_volume
     }
 
-    /// The cross-shard blend: per-shard estimates averaged with weight
+    /// The cross-shard blend of `rects[indexes[k]]` for each `k`:
+    /// per-shard estimates averaged with weight
     /// `1 + published_queries(shard)`, so shards that have actually seen
     /// feedback dominate while a fully-cold bank degrades to the plain
     /// average of the priors (which all agree anyway). Weights read the
@@ -348,36 +312,14 @@ impl<L: SnapshotSource> ShardedService<L> {
     /// so blended estimates can only change when [`version`](Self::version)
     /// changes, keeping version-keyed caches sound even when a refine
     /// fails mid-batch.
-    pub fn estimate_blended(&self, rect: &Rect) -> f64 {
-        let mut num = 0.0;
-        let mut den = 0.0;
-        for shard in &self.shards {
-            let w = 1.0 + shard.published_queries() as f64;
-            num += w * shard.estimate(rect);
-            den += w;
-        }
-        num / den
-    }
-
-    /// Batched [`estimate_blended`](Self::estimate_blended): every
-    /// shard's snapshot (and its blend weight) is loaded **once** for
-    /// the whole batch and batch-estimated through the SoA kernel, so
-    /// all rects blend the same per-shard model versions. At a fixed
-    /// version the results compare equal (`==`) to per-rect scalar
-    /// blending (same shard order, same `num`/`den` accumulation).
-    pub fn estimate_many_blended(&self, rects: &[Rect]) -> Vec<f64> {
-        let all: Vec<usize> = (0..rects.len()).collect();
-        self.blend_gather(rects, &all)
-    }
-
-    /// Gather form of the blend: blends `rects[indexes[k]]` for each
-    /// `k`, loading every shard's snapshot (and blend weight) once.
     ///
-    /// Per-shard snapshots evaluate **concurrently** on the workspace
-    /// pool (they are independent read-only models); the weighted
-    /// accumulation stays a serial fold in shard order, so the blended
-    /// numbers compare equal (`==`) to the serial sweep at any thread
-    /// count.
+    /// Every shard's snapshot (and its blend weight) is loaded **once**
+    /// for the whole batch, so all rects blend the same per-shard model
+    /// versions. Per-shard snapshots evaluate **concurrently** on the
+    /// workspace pool (they are independent read-only models); the
+    /// weighted accumulation stays a serial fold in shard order, so the
+    /// blended numbers compare equal (`==`) to the serial sweep at any
+    /// thread count.
     fn blend_gather(&self, rects: &[Rect], indexes: &[usize]) -> Vec<f64> {
         // Weights and snapshots load serially in shard order — one
         // coherent (weight, model) pair per shard for the whole batch.
@@ -401,12 +343,6 @@ impl<L: SnapshotSource> ShardedService<L> {
             den += w;
         }
         num.iter().map(|n| n / den).collect()
-    }
-
-    /// The owning shard's current snapshot for `rect` — for callers that
-    /// want to probe one coherent model version repeatedly.
-    pub fn snapshot_for(&self, rect: &Rect) -> SharedSnapshot {
-        self.shards[self.shard_for(rect)].snapshot()
     }
 
     /// Sum of per-shard published-version counters. Monotone: every
@@ -474,7 +410,6 @@ impl<L: SnapshotSource + PersistLearner> ShardedService<L> {
             full_volume,
             shards: services,
             backpressure: (0..shards).map(|_| AtomicU64::new(0)).collect(),
-            blend_threshold: DEFAULT_BLEND_THRESHOLD,
         };
         Ok((service, recovery))
     }
@@ -641,6 +576,19 @@ mod tests {
         ObservedQuery::new(Rect::from_bounds(&b), s)
     }
 
+    /// The blend as an independent oracle: in shard order, each shard's
+    /// scalar snapshot estimate weighted by `1 + published_queries`.
+    fn reference_blend(svc: &ShardedService<QuickSel>, rect: &Rect) -> f64 {
+        let (mut num, mut den) = (0.0, 0.0);
+        for i in 0..svc.shard_count() {
+            let shard = svc.shard(i);
+            let w = 1.0 + shard.published_queries() as f64;
+            num += w * shard.snapshot().estimate(rect);
+            den += w;
+        }
+        num / den
+    }
+
     #[test]
     fn routing_is_deterministic_and_partition_respects_it() {
         let svc = sharded(4);
@@ -687,12 +635,12 @@ mod tests {
         }
         let wide = Rect::from_bounds(&[(0.0, 10.0), (0.0, 10.0)]);
         assert!(svc.spans_partitions(&wide));
-        assert_eq!(svc.estimate(&wide), svc.estimate_blended(&wide));
+        assert_eq!(svc.estimate(&wide), reference_blend(&svc, &wide));
         let narrow = Rect::from_bounds(&[(1.0, 2.0), (1.0, 2.0)]);
         assert!(!svc.spans_partitions(&narrow));
         // Blending is a convex combination of per-shard answers.
         let per_shard: Vec<f64> = (0..2).map(|i| svc.shard(i).estimate(&wide)).collect();
-        let blended = svc.estimate_blended(&wide);
+        let blended = svc.estimate(&wide);
         let lo = per_shard.iter().cloned().fold(f64::INFINITY, f64::min);
         let hi = per_shard.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
         assert!(blended >= lo - 1e-12 && blended <= hi + 1e-12);
@@ -707,13 +655,14 @@ mod tests {
         }
         let wide = Rect::from_bounds(&[(0.0, 10.0), (0.0, 10.0)]);
         let version = svc.version();
-        let blended = svc.estimate_blended(&wide);
+        let blended = svc.estimate(&wide);
+        assert_eq!(blended, reference_blend(&svc, &wide));
         // A rejected batch ingests nothing and publishes nothing; the
         // blend must not move while the version holds still.
         let bad = ObservedQuery { rect: wide.clone(), selectivity: 2.0 };
         assert!(svc.observe(&bad).is_err());
         assert_eq!(svc.version(), version);
-        assert_eq!(svc.estimate_blended(&wide), blended, "estimate moved at a fixed version");
+        assert_eq!(svc.estimate(&wide), blended, "estimate moved at a fixed version");
     }
 
     #[test]

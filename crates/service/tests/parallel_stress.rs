@@ -33,6 +33,17 @@ fn probes(salt: usize) -> Vec<Rect> {
         .collect()
 }
 
+/// A fixed set of probes covering at least the blend threshold of the
+/// domain, so every one of them runs the cross-shard blend.
+fn wide_probes() -> Vec<Rect> {
+    (0..32)
+        .map(|i| {
+            let lo = (i % 4) as f64 * 0.5;
+            Rect::from_bounds(&[(lo, lo + 8.0), (0.0, 7.0 + (i % 4) as f64)])
+        })
+        .collect()
+}
+
 #[test]
 fn oversubscribed_scope_callers_and_ingest_threads_make_progress() {
     // Force a multi-threaded *global* pool before first use, so the
@@ -51,6 +62,8 @@ fn oversubscribed_scope_callers_and_ingest_threads_make_progress() {
             .build()
     }));
     let mut ingest = svc.start_ingest(4);
+    let wides = wide_probes();
+    assert!(wides.iter().all(|w| svc.spans_partitions(w)));
 
     // Background feedback: keeps both shard workers retraining (QP
     // assembly + Cholesky on the global pool) for the whole test.
@@ -76,14 +89,14 @@ fn oversubscribed_scope_callers_and_ingest_threads_make_progress() {
         for t in 0..OS_THREADS {
             let svc = Arc::clone(&svc);
             let reader_pool = &reader_pool;
+            let wides = &wides;
             scope.spawn(move || {
                 for b in 0..BATCHES_PER_THREAD {
                     let batch = probes(t * 31 + b);
                     let estimates = with_pool(reader_pool, || svc.estimate_many(&batch));
                     assert_eq!(estimates.len(), batch.len());
                     assert!(estimates.iter().all(|e| (0.0..=1.0).contains(e)));
-                    let blended =
-                        with_pool(reader_pool, || svc.estimate_many_blended(&batch[..32]));
+                    let blended = with_pool(reader_pool, || svc.estimate_many(wides));
                     assert!(blended.iter().all(|e| e.is_finite()));
                 }
             });

@@ -12,7 +12,10 @@
 //! * [`EstimatorRegistry`] / [`ShardedService`] / [`CardinalityProvider`]
 //!   — the multi-table serving layer: per-table sharded estimators with
 //!   deterministic feedback routing behind the planner-facing provider
-//!   API, plus the per-thread [`CachedProvider`] read accelerator,
+//!   API, plus the per-thread [`CachedProvider`] read accelerator. Every
+//!   layer from the provider seam down to the SoA kernel has one
+//!   batched estimate path (`estimate_many`); scalar `estimate` calls
+//!   are batches of one,
 //! * [`geometry`] — predicates, hyperrectangles, domains,
 //! * [`linalg`] — the dense solvers behind training,
 //! * [`parallel`] — the workspace thread pool the training and batched
