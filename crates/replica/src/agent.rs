@@ -268,7 +268,9 @@ impl Session {
     }
 
     /// Fetches exactly `[offset, offset + want)` of `path` in
-    /// `chunk_len`-sized round-trips.
+    /// `chunk_len`-sized round-trips. `want` comes off the wire, so at
+    /// most one chunk is reserved up front and the buffer grows only as
+    /// bytes actually arrive.
     fn range(
         &mut self,
         path: &str,
@@ -276,7 +278,7 @@ impl Session {
         want: u64,
         chunk_len: u32,
     ) -> Result<Vec<u8>, ReplicaError> {
-        let mut bytes = Vec::with_capacity(usize::try_from(want).unwrap_or(0));
+        let mut bytes = Vec::with_capacity(want.min(u64::from(chunk_len)) as usize);
         while (bytes.len() as u64) < want {
             let at = offset + bytes.len() as u64;
             let ask = (want - bytes.len() as u64).min(u64::from(chunk_len)) as u32;

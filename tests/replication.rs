@@ -12,11 +12,13 @@
 //!   after the primary dies, refuses to use a never-synced replica, and
 //!   surfaces `NoEndpoint` when nothing can serve a write.
 
-use quicksel::net::{serve, ErrorCode, ServerConfig, ServerRole};
+use quicksel::net::{serve, BackendError, ErrorCode, ServerConfig, ServerRole};
+use quicksel::persist::{ManifestEntry, ManifestKind};
 use quicksel::prelude::*;
+use quicksel::replica::ReplicaError;
 use quicksel::{
-    ClientError, DurabilityOptions, EstimatorRegistry, FailoverClient, NetClient, ReplicaAgent,
-    ReplicaBackend, ReplicaOptions,
+    ClientError, DurabilityOptions, EstimatorRegistry, FailoverClient, NetBackend, NetClient,
+    ReplicaAgent, ReplicaBackend, ReplicaOptions, TableId, WireStats,
 };
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -268,4 +270,66 @@ fn remote_provider_degrades_then_recovers_over_endpoints() {
     let after = provider.estimate_rects(&id, &rects);
     assert_eq!(before, after, "provider failover changed estimates");
     assert!(before.iter().any(|&v| v > 0.0 && v < 1.0), "degenerate probe battery");
+}
+
+/// A broken primary: its manifest advertises one checkpoint of
+/// `u64::MAX` bytes, and every chunk it serves is empty.
+struct AbsurdManifest;
+
+impl NetBackend for AbsurdManifest {
+    fn estimate_many(&self, _: &TableId, _: &[Rect]) -> Result<Vec<f64>, BackendError> {
+        Err(BackendError::UnknownTable)
+    }
+
+    fn observe_batch(&self, _: &TableId, _: &[ObservedQuery]) -> Result<u64, BackendError> {
+        Err(BackendError::UnknownTable)
+    }
+
+    fn registry_stats(&self) -> WireStats {
+        WireStats::default()
+    }
+
+    fn checkpoint_now(&self) -> Result<u32, BackendError> {
+        Ok(0)
+    }
+
+    fn tables(&self) -> Vec<(String, Domain)> {
+        Vec::new()
+    }
+
+    fn manifest(&self) -> Result<Vec<ManifestEntry>, BackendError> {
+        Ok(vec![ManifestEntry {
+            path: "tables/t/shard-0/checkpoint-1.qsc".into(),
+            kind: ManifestKind::Checkpoint,
+            len: u64::MAX,
+            watermark: 0,
+        }])
+    }
+
+    fn fetch_chunk(&self, _: &str, _: u64, _: u32) -> Result<(u64, Vec<u8>), BackendError> {
+        Ok((0, Vec::new()))
+    }
+}
+
+#[test]
+fn absurd_manifest_length_is_a_typed_error() {
+    // The manifest length comes off the wire: the replica must not size
+    // an allocation by it, and must end the sync with a typed error
+    // instead of panicking or aborting.
+    let handle = serve(
+        Arc::new(AbsurdManifest),
+        ServerConfig { addr: "127.0.0.1:0".into(), ..ServerConfig::default() },
+    )
+    .expect("bind stub primary");
+    let r_dir = Scratch::new("replica");
+    let backend: Arc<ReplicaBackend<QuickSel>> = Arc::new(ReplicaBackend::empty());
+    let mut agent = ReplicaAgent::new(
+        ReplicaOptions::new(handle.addr().to_string(), r_dir.path()),
+        Arc::clone(&backend),
+        |_, _, shard| learner(shard as u64),
+    );
+    match agent.sync_once() {
+        Err(ReplicaError::Protocol { .. }) => {}
+        other => panic!("an absurd manifest length must be a Protocol error, got {other:?}"),
+    }
 }
