@@ -1,10 +1,11 @@
-//! Stage-level timing of one cold retrain at m=4000 (dev diagnostics).
+//! Stage-level timing of one cold retrain at m=4000, plus the factor
+//! work of one warm 4-row refine (dev diagnostics).
 
 use quicksel_core::subpop::{sample_centers, size_subpopulations, workload_points};
 use quicksel_core::SubpopGrid;
 use quicksel_data::datasets::gaussian::gaussian_table;
 use quicksel_data::workload::{CenterMode, QueryGenerator, RectWorkload, ShiftMode};
-use quicksel_linalg::{CholeskyFactor, RankUpdateSolver};
+use quicksel_linalg::{CholeskyFactor, UpdatableCholesky};
 use rand::SeedableRng;
 use std::time::Instant;
 
@@ -73,9 +74,16 @@ fn main() {
     let w = f.solve(&rhs);
     println!("solve        {:>8.1} ms", t.elapsed().as_secs_f64() * 1e3);
 
+    // A warm refine's factor work: four new constraint rows fold into
+    // the factor in place (one fused pass), then one re-solve.
+    let (new_a, _) = grid.assemble_a(&gen.take_queries(&table, 4));
+    let mut factor = UpdatableCholesky::from_lower(f.into_lower()).expect("factor");
     let t = Instant::now();
-    let solver = RankUpdateSolver::new(&system, 1e6).expect("spd");
-    let _w2 = solver.solve(&rhs).expect("solve");
-    println!("solver(new+solve) {:>8.1} ms", t.elapsed().as_secs_f64() * 1e3);
-    std::hint::black_box(w);
+    factor.update(&new_a.as_slice()[m..], 1e6);
+    println!("warm update4 {:>8.1} ms", t.elapsed().as_secs_f64() * 1e3);
+
+    let t = Instant::now();
+    let w2 = factor.solve(&rhs);
+    println!("warm solve   {:>8.1} ms", t.elapsed().as_secs_f64() * 1e3);
+    std::hint::black_box((w, w2));
 }

@@ -32,9 +32,10 @@
 //! same association, and each overlap is the same left-to-right product
 //! of per-dimension `(hi.min(q_hi) - lo.max(q_lo)).max(0.0)` lengths.
 //! The scalar path's skip branches (`w == 0`, `overlap <= 0`) become a
-//! branch-free select whose masked-out terms contribute exactly `0.0` —
-//! which changes no partial sum's value (at most the sign of a zero sum,
-//! and `0.0 == -0.0`). Every contributing IEEE-754 operation therefore
+//! branch-free select (both tests evaluated, the product's bits masked)
+//! whose masked-out terms contribute exactly `+0.0` — which changes no
+//! partial sum's value (at most the sign of a zero sum, and
+//! `0.0 == -0.0`). Every contributing IEEE-754 operation therefore
 //! rounds identically and [`FrozenModel::estimate`] **compares equal**
 //! (`==`, which is bitwise up to zero signs) to the scalar estimate —
 //! the equivalence suite in `tests/batch_equivalence.rs` asserts exact
@@ -355,15 +356,19 @@ impl FrozenModel {
         let ws = &self.weights[z0..z0 + ov.len()];
         let invs = &self.inv_volumes[z0..z0 + ov.len()];
         for ((&w, &inv), &o) in ws.iter().zip(invs).zip(ov) {
-            // Branch-free select instead of the scalar path's skips: a
-            // masked-out term adds exactly 0.0, which leaves every
-            // partial sum's *value* unchanged (only the sign of a zero
-            // sum could differ, and 0.0 == -0.0), so results still
-            // compare equal to the scalar path. The guard also keeps
-            // speculative `w * o * inv` NaNs (zero × infinite reciprocal
-            // volume) out of the accumulator, exactly like the skips do.
-            let term = if w != 0.0 && o > 0.0 { w * o * inv } else { 0.0 };
-            *acc += term;
+            // Branch-free select instead of the scalar path's skips: both
+            // comparisons are evaluated (no short-circuit) and the
+            // product's bits are masked, because about one term in three
+            // survives, in no predictable order. A masked-out term adds
+            // exactly +0.0, which leaves every partial sum's *value*
+            // unchanged (only the sign of a zero sum could differ, and
+            // 0.0 == -0.0), so results still compare equal to the scalar
+            // path. The mask also keeps speculative `w * o * inv` NaNs
+            // (zero × infinite reciprocal volume) out of the accumulator,
+            // exactly like the skips do.
+            let keep = (w != 0.0) & (o > 0.0);
+            let term = w * o * inv;
+            *acc += f64::from_bits(term.to_bits() & 0u64.wrapping_sub(u64::from(keep)));
         }
     }
 }

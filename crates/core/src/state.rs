@@ -66,18 +66,20 @@ pub struct TrainerState {
     pub gram: DMatrix,
     /// Incrementally-maintained `Aᵀs`.
     pub ats: Vec<f64>,
-    /// Lower triangle of the solver's cached Cholesky factor.
+    /// Lower triangle of the cached Cholesky factor of `Q + λAᵀA + εI`.
     pub factor_lower: DMatrix,
-    /// The solver's update scale λ.
+    /// Legacy Woodbury update scale: λ when positive, else 1.
     pub solver_scale: f64,
-    /// Pending Woodbury update rows, flattened (`rank × m`).
+    /// Legacy Woodbury pending rows, flattened (`rank × m`). Always
+    /// empty in new captures, like the three fields below; a capture
+    /// that carries pending rows restores by one refactor of its
+    /// captured system.
     pub pending_rows: Vec<f64>,
-    /// Cached base-system solves of the pending rows, flattened.
+    /// Legacy cached base-system solves of the pending rows.
     pub pending_solved: Vec<f64>,
-    /// Per-row update signs (±1; −1 marks a history-eviction downdate).
-    /// Older captures without signs restore as all-positive.
+    /// Legacy per-row update signs (±1).
     pub pending_signs: Vec<f64>,
-    /// Number of pending update rows.
+    /// Legacy number of pending update rows.
     pub pending_rank: usize,
     /// Penalty weight λ of the trained system.
     pub lambda: f64,

@@ -7,9 +7,9 @@
 //! estimator use. On top of the cold path, [`IncrementalTrainer`] keeps
 //! the assembled `Q`, `AᵀA`, and the Cholesky factor cached between
 //! refines: when the subpopulation set is unchanged, a refine folds only
-//! the new queries' `A` rows in as a rank-k symmetric update and solves
-//! through the cached factor (Woodbury), skipping both the O(n·m²) Gram
-//! rebuild and the O(m³) re-factorization.
+//! the new queries' `A` rows into `AᵀA` and into the factor (in-place
+//! Givens updates) and solves with two triangular substitutions,
+//! skipping both the O(n·m²) Gram rebuild and the O(m³) factorization.
 
 use crate::assembly::SubpopGrid;
 use crate::config::TrainingMethod;
@@ -17,10 +17,7 @@ use crate::model::UniformMixtureModel;
 use crate::state::{StateError, TrainerState};
 use quicksel_data::ObservedQuery;
 use quicksel_geometry::{Domain, Rect};
-use quicksel_linalg::{
-    solve_analytic, AdmmQp, CholeskyFactor, DMatrix, LinalgError, QpProblem, RankUpdateSolver,
-    WOODBURY_REFRESH_RANK,
-};
+use quicksel_linalg::{solve_analytic, AdmmQp, DMatrix, LinalgError, QpProblem, UpdatableCholesky};
 use std::time::{Duration, Instant};
 
 /// Minimum rank-k fold size `k·m` before the warm-refine gram update fans
@@ -38,7 +35,7 @@ pub struct TrainReport {
     /// Number of constraints (observed queries + the implicit `(B0, 1)`).
     pub num_constraints: usize,
     /// Time spent assembling `Q` and `A` (on a warm refine: folding the
-    /// new rows into the cached system).
+    /// new rows into the cached system and its Cholesky factor).
     pub assemble_time: Duration,
     /// Time spent in the solver.
     pub solve_time: Duration,
@@ -168,12 +165,12 @@ pub fn train(
 /// [`cold`](Self::cold) runs the full pruned assembly + factorization
 /// once and keeps `Q`, `A`, `AᵀA`, `Aᵀs`, and the factor. While the
 /// subpopulation set is unchanged, [`refine`](Self::refine) appends only
-/// the new queries' constraint rows — a rank-k symmetric update of the
-/// cached system — and solves through the cached factor (Woodbury
-/// correction). Once the pending rank passes
-/// [`WOODBURY_REFRESH_RANK`], the factor is refreshed from the
-/// incrementally-maintained system (one blocked factorization; still no
-/// Gram or assembly rebuild).
+/// the new queries' constraint rows `r`: each adds `λ·rᵀr` to the
+/// system and folds into the factor as an in-place rank-1 update, and
+/// history compaction folds evicted rows back out as downdates. The
+/// system `Q + λAᵀA + εI` is refactored only where an update cannot
+/// apply: a downdate that fails, λ ≤ 0, or a restored capture that
+/// still carries Woodbury pending rows.
 ///
 /// The cache holds O(m²) state (three m×m matrices at `m = 4000` ≈
 /// 384 MB) plus the growing n×m constraint matrix; it trades memory for
@@ -189,10 +186,11 @@ pub struct IncrementalTrainer {
     gram: DMatrix,
     /// `Aᵀs`, maintained alongside.
     ats: Vec<f64>,
-    solver: RankUpdateSolver,
+    /// Cholesky factor of `Q + λAᵀA + εI`, updated in place.
+    factor: UpdatableCholesky,
     lambda: f64,
     /// Absolute ridge ε baked into the cached system at the cold build;
-    /// refreshes reuse it so the answered system never shifts mid-cache.
+    /// refactors reuse it so the answered system never shifts mid-cache.
     ridge_abs: f64,
     warm_refines: usize,
 }
@@ -218,26 +216,20 @@ impl IncrementalTrainer {
         let t1 = Instant::now();
         // The absolute ridge is derived once here (from the cold
         // system's trace, exactly like `solve_analytic`) and reused by
-        // every factor refresh, so all of this trainer's refines answer
-        // for one well-defined system `Q + λAᵀA + εI` — recomputing the
+        // every refactor, so all of this trainer's refines answer for
+        // one well-defined system `Q + λAᵀA + εI` — recomputing the
         // trace-relative ridge as the Gram grows would silently switch
-        // systems between refreshes. A cold rebuild re-derives it.
+        // systems between refactors. A cold rebuild re-derives it.
         let mut system = Self::system_matrix(&q, &gram, lambda, 0.0);
         let ridge_abs =
             if ridge_rel > 0.0 { system.trace() / m.max(1) as f64 * ridge_rel } else { 0.0 };
         if ridge_abs > 0.0 {
             system.add_diagonal(ridge_abs);
         }
-        // The solver's scale only matters for Woodbury appends; λ ≤ 0
-        // (the degenerate no-penalty setting the one-shot path also
-        // accepts) never appends — see `refine` — so any positive
-        // placeholder keeps construction valid.
-        let scale = if lambda > 0.0 { lambda } else { 1.0 };
-        let solver = RankUpdateSolver::new(&system, scale)?;
-        drop(system);
+        let factor = UpdatableCholesky::factor(system)?;
         let trainer =
-            Self { subpops, grid, q, a, s, gram, ats, solver, lambda, ridge_abs, warm_refines: 0 };
-        let weights = trainer.solve_weights()?;
+            Self { subpops, grid, q, a, s, gram, ats, factor, lambda, ridge_abs, warm_refines: 0 };
+        let weights = trainer.solve_weights();
         let solve_time = t1.elapsed();
 
         let report = TrainReport {
@@ -269,10 +261,18 @@ impl IncrementalTrainer {
         system
     }
 
-    fn solve_weights(&self) -> Result<Vec<f64>, LinalgError> {
+    fn solve_weights(&self) -> Vec<f64> {
         // rhs = λAᵀs
         let rhs: Vec<f64> = self.ats.iter().map(|v| v * self.lambda).collect();
-        self.solver.solve(&rhs)
+        self.factor.solve(&rhs)
+    }
+
+    /// Refactors the exactly maintained system, for where an in-place
+    /// update cannot apply (see the type docs).
+    fn refactor(&mut self) -> Result<(), LinalgError> {
+        let system = Self::system_matrix(&self.q, &self.gram, self.lambda, self.ridge_abs);
+        self.factor = UpdatableCholesky::factor(system)?;
+        Ok(())
     }
 
     fn violation(&self, weights: &[f64]) -> f64 {
@@ -302,8 +302,8 @@ impl IncrementalTrainer {
     }
 
     /// Warm refine: folds `new_queries`' constraint rows into the cached
-    /// system as a rank-k symmetric update and re-solves without
-    /// reassembling Q/A or recomputing the Gram product.
+    /// system and its factor and re-solves without reassembling Q/A,
+    /// recomputing the Gram product, or refactoring.
     pub fn refine(
         &mut self,
         new_queries: &[ObservedQuery],
@@ -312,19 +312,11 @@ impl IncrementalTrainer {
         let t0 = Instant::now();
         let mut scratch = self.grid.scratch();
         let mut row = vec![0.0; m];
-        // A batch that will cross the refresh threshold anyway skips the
-        // per-row cached solves entirely — they would be thrown away by
-        // the refresh below.
-        // Non-positive λ always refreshes: the Woodbury correction
-        // assumes a positive update scale, while a refactor of
-        // `Q + λAᵀA` is exact for any λ that factors.
-        let will_refresh = self.lambda <= 0.0
-            || self.solver.pending_rank() + new_queries.len() > WOODBURY_REFRESH_RANK;
         // Stage 1 (serial): constraint rows come out of the stateful grid
-        // scratch one at a time and append to `A`/`s` (and the solver when
-        // not refreshing). `Aᵀs` updates run here in the original
-        // per-row order; the rows and their nonzero lists are collected
-        // so the `AᵀA` updates below can fold as one rank-k batch.
+        // scratch one at a time and append to `A`/`s`. `Aᵀs` updates run
+        // here in the original per-row order; the rows and their nonzero
+        // lists are collected so `AᵀA` and the factor can fold them as
+        // one batch.
         let k = new_queries.len();
         let mut rows_flat = Vec::with_capacity(k * m);
         let mut nz_flat: Vec<usize> = Vec::new();
@@ -342,25 +334,26 @@ impl IncrementalTrainer {
             }
             nz_off.push(nz_flat.len());
             rows_flat.extend_from_slice(&row);
-            if !will_refresh {
-                self.solver.append_row(&row);
-            }
         }
         // Stage 2: the k rank-1 symmetric updates of `AᵀA`, batched into
         // one rank-k fold that partitions gram rows across the workspace
         // pool. Per gram entry the additions still run in query order, so
         // the fold is bit-identical to the serial per-row sweep.
+        // Stage 3: the same rows fold into the factor. Non-positive λ
+        // refactors instead: `λ·rᵀr` is then no positive update, while a
+        // refactor of `Q + λAᵀA` is exact for any λ.
         if k > 0 {
             fold_rank_k_into_gram(&mut self.gram, &rows_flat, &nz_flat, &nz_off, m);
         }
-        if will_refresh {
-            let system = Self::system_matrix(&self.q, &self.gram, self.lambda, self.ridge_abs);
-            self.solver.refresh(&system)?;
+        if self.lambda > 0.0 {
+            self.factor.update(&rows_flat, self.lambda);
+        } else {
+            self.refactor()?;
         }
         let assemble_time = t0.elapsed();
 
         let t1 = Instant::now();
-        let weights = self.solve_weights()?;
+        let weights = self.solve_weights();
         let solve_time = t1.elapsed();
         self.warm_refines += 1;
 
@@ -385,10 +378,9 @@ impl IncrementalTrainer {
     /// and the `merged` summary constraint folds *in*, keeping `A`/`s`
     /// aligned with the estimator's edited query history (`merged`
     /// overwrites `replaced` in place; `removed` is dropped with
-    /// order-preserving shifting). The solver absorbs the change as a
-    /// signed rank-3 Woodbury update, or a factor refresh when that
-    /// would cross [`WOODBURY_REFRESH_RANK`] — mirroring the append
-    /// path's policy.
+    /// order-preserving shifting). The factor takes the merged row in
+    /// before it downdates the two old ones out; a failed downdate
+    /// refactors the system, which is already updated by then.
     pub fn apply_history_edit(
         &mut self,
         replaced: usize,
@@ -398,21 +390,16 @@ impl IncrementalTrainer {
         let n = self.trained_queries();
         assert!(replaced < n && removed < n && replaced != removed, "edit indices out of range");
         let m = self.subpops.len();
-        let will_refresh =
-            self.lambda <= 0.0 || self.solver.pending_rank() + 3 > WOODBURY_REFRESH_RANK;
         // Fold the two old constraint rows out of AᵀA / Aᵀs.
-        for idx in [replaced, removed] {
-            let row = self.a.row(idx + 1).to_vec();
+        let old_rows = [replaced, removed].map(|idx| self.a.row(idx + 1).to_vec());
+        for (idx, row) in [replaced, removed].into_iter().zip(&old_rows) {
             let sv = self.s[idx + 1];
             for (i, &v) in row.iter().enumerate() {
                 if v != 0.0 {
                     self.ats[i] -= sv * v;
                 }
             }
-            rank_one_gram(&mut self.gram, &row, -1.0);
-            if !will_refresh {
-                self.solver.append_signed_row(&row, -1.0);
-            }
+            rank_one_gram(&mut self.gram, row, -1.0);
         }
         // Fold the merged summary constraint in.
         let mut scratch = self.grid.scratch();
@@ -424,25 +411,25 @@ impl IncrementalTrainer {
             }
         }
         rank_one_gram(&mut self.gram, &new_row, 1.0);
-        if !will_refresh {
-            self.solver.append_signed_row(&new_row, 1.0);
-        }
         // Keep A/s aligned with the edited history.
         self.a.row_mut(replaced + 1).copy_from_slice(&new_row);
         self.s[replaced + 1] = merged.selectivity;
         self.a.remove_row(removed + 1);
         self.s.remove(removed + 1);
-        if will_refresh {
-            let system = Self::system_matrix(&self.q, &self.gram, self.lambda, self.ridge_abs);
-            self.solver.refresh(&system)?;
+        if self.lambda <= 0.0 {
+            return self.refactor();
+        }
+        self.factor.update(&new_row, self.lambda);
+        if old_rows.iter().try_for_each(|row| self.factor.downdate(row, self.lambda)).is_err() {
+            self.refactor()?;
         }
         Ok(())
     }
 
     /// Captures the complete trainer state (supports, assembled system,
-    /// solver factor and pending rows) for persistence. Restoring through
-    /// [`try_from_state`](Self::try_from_state) yields a trainer whose
-    /// refines are bit-identical to this one's.
+    /// factor) for persistence; it carries no pending rows. Restoring
+    /// through [`try_from_state`](Self::try_from_state) yields a trainer
+    /// whose refines are bit-identical to this one's.
     pub fn export_state(&self) -> TrainerState {
         TrainerState {
             subpops: self.subpops.clone(),
@@ -451,12 +438,14 @@ impl IncrementalTrainer {
             s: self.s.clone(),
             gram: self.gram.clone(),
             ats: self.ats.clone(),
-            factor_lower: self.solver.factor().l().clone(),
-            solver_scale: self.solver.scale(),
-            pending_rows: self.solver.pending_rows().to_vec(),
-            pending_solved: self.solver.pending_solved().to_vec(),
-            pending_signs: self.solver.pending_signs().to_vec(),
-            pending_rank: self.solver.pending_rank(),
+            factor_lower: self.factor.lower(),
+            // Older builds restore a Woodbury solver from this field,
+            // which needs a positive scale.
+            solver_scale: if self.lambda > 0.0 { self.lambda } else { 1.0 },
+            pending_rows: Vec::new(),
+            pending_solved: Vec::new(),
+            pending_signs: Vec::new(),
+            pending_rank: 0,
             lambda: self.lambda,
             ridge_abs: self.ridge_abs,
             warm_refines: self.warm_refines,
@@ -467,7 +456,9 @@ impl IncrementalTrainer {
     /// structural invariant first — mismatched shapes, non-finite
     /// entries, or degenerate supports reject with a typed
     /// [`StateError`] instead of panicking downstream. The subpopulation
-    /// grid is rebuilt deterministically from the captured supports.
+    /// grid is rebuilt deterministically from the captured supports. A
+    /// capture that still carries Woodbury pending rows (written before
+    /// factors were updated in place) refactors its captured system.
     pub fn try_from_state(state: TrainerState) -> Result<Self, StateError> {
         let invalid = |context: &'static str| StateError::Invalid { context };
         let m = state.subpops.len();
@@ -508,25 +499,21 @@ impl IncrementalTrainer {
             || !finite(state.a.as_slice())
             || !finite(&state.s)
             || !finite(&state.ats)
-            || !finite(&state.pending_rows)
-            || !finite(&state.pending_solved)
         {
             return Err(invalid("trainer capture contains non-finite entries"));
         }
         if !(state.lambda.is_finite() && state.ridge_abs.is_finite() && state.ridge_abs >= 0.0) {
             return Err(invalid("trainer capture has invalid lambda/ridge"));
         }
-        let factor = CholeskyFactor::from_lower(state.factor_lower)
-            .map_err(|_| invalid("captured Cholesky factor is not a valid lower triangle"))?;
-        let solver = RankUpdateSolver::from_parts(
-            factor,
-            state.solver_scale,
-            state.pending_rows,
-            state.pending_solved,
-            state.pending_signs,
-            state.pending_rank,
-        )
-        .map_err(|_| invalid("captured solver parts are inconsistent"))?;
+        let pending = state.pending_rank > 0 || !state.pending_rows.is_empty();
+        let factor = if pending {
+            let system = Self::system_matrix(&state.q, &state.gram, state.lambda, state.ridge_abs);
+            UpdatableCholesky::factor(system)
+                .map_err(|_| invalid("captured system with pending rows does not factor"))?
+        } else {
+            UpdatableCholesky::from_lower(state.factor_lower)
+                .map_err(|_| invalid("captured Cholesky factor is not a valid lower triangle"))?
+        };
         let grid = SubpopGrid::new(&state.subpops);
         Ok(Self {
             subpops: state.subpops,
@@ -536,7 +523,7 @@ impl IncrementalTrainer {
             s: state.s,
             gram: state.gram,
             ats: state.ats,
-            solver,
+            factor,
             lambda: state.lambda,
             ridge_abs: state.ridge_abs,
             warm_refines: state.warm_refines,
@@ -774,7 +761,7 @@ mod tests {
     fn zero_lambda_degenerate_setting_still_trains_incrementally() {
         // λ = 0 is the no-penalty degenerate setting the one-shot path
         // accepts (rhs = 0 ⇒ all-zero weights); the incremental trainer
-        // must reproduce it instead of erroring, via the always-refresh
+        // must reproduce it instead of erroring, via the always-refactor
         // warm path.
         let d = domain();
         let subs = grid_subpops(&d);
@@ -790,37 +777,56 @@ mod tests {
         }
     }
 
+    /// Whether the factor is bit for bit a refactor of the maintained
+    /// system, as after a fallback and never after an in-place edit.
+    fn refactored(trainer: &IncrementalTrainer) -> bool {
+        let t = trainer;
+        let system = IncrementalTrainer::system_matrix(&t.q, &t.gram, t.lambda, t.ridge_abs);
+        UpdatableCholesky::factor(system).unwrap().lower().as_slice() == t.factor.lower().as_slice()
+    }
+
     #[test]
-    fn incremental_refresh_after_many_appends() {
+    fn failed_downdate_refactors_from_the_updated_system() {
+        // Swap in a factor of I, far below the real system: folding the
+        // merged row in succeeds, but folding an old row out of
+        // `I + λ·mmᵀ` meets a negative pivot. The edit must then answer
+        // for the edited system as a fresh factorization does.
         let d = domain();
         let subs = grid_subpops(&d);
-        let (mut trainer, _, _) =
-            IncrementalTrainer::cold(&d, subs.clone(), &[], 1e6, 0.0).unwrap();
-        // Push enough single-row refines to cross the Woodbury refresh
-        // threshold at least once.
-        let mut queries = Vec::new();
-        for i in 0..(WOODBURY_REFRESH_RANK + 8) {
-            let lo = (i % 7) as f64;
-            let q = ObservedQuery::new(
-                Rect::from_bounds(&[(lo, lo + 3.0), (0.5 * (i % 5) as f64, 6.0)]),
-                ((i % 4) as f64) * 0.2,
-            );
-            trainer.refine(std::slice::from_ref(&q)).unwrap();
-            queries.push(q);
-        }
-        let (warm_model, _) = trainer.refine(&[]).unwrap();
-        let (scratch_model, _) =
+        let mut queries: Vec<ObservedQuery> = (0..12)
+            .map(|i| {
+                let (x, y) = ((i * 37 % 70) as f64 * 0.1, (i * 53 % 60) as f64 * 0.1);
+                let w = 1.0 + (i % 6) as f64 * 0.5;
+                let rect = Rect::from_bounds(&[(x, (x + w).min(10.0)), (y, (y + w).min(10.0))]);
+                ObservedQuery::new(rect, (i * 17 % 11) as f64 / 20.0)
+            })
+            .collect();
+        let (trainer, _, _) =
+            IncrementalTrainer::cold(&d, subs.clone(), &queries, 1e6, 0.0).unwrap();
+        let mut state = trainer.export_state();
+        state.factor_lower = DMatrix::identity(subs.len());
+        let mut trainer = IncrementalTrainer::try_from_state(state).unwrap();
+        let merged = ObservedQuery::new(queries[0].rect.hull(&queries[1].rect), 0.5);
+        trainer.apply_history_edit(0, 1, &merged).unwrap();
+        assert!(refactored(&trainer));
+        queries[0] = merged;
+        queries.remove(1);
+
+        let (warm, _) = trainer.refine(&[]).unwrap();
+        let (scratch, _) =
             train(&d, subs, &queries, TrainingMethod::AnalyticPenalty, 1e6, 0.0).unwrap();
-        for (wi, ws) in warm_model.weights().iter().zip(scratch_model.weights()) {
-            assert!((wi - ws).abs() < 1e-6, "incremental {wi} vs scratch {ws}");
+        let scale = scratch.weights().iter().fold(0.0f64, |m, w| m.max(w.abs()));
+        for (wi, ws) in warm.weights().iter().zip(scratch.weights()) {
+            assert!((wi - ws).abs() < 1e-8 * scale, "refactored {wi} vs scratch {ws}");
         }
     }
 
     #[test]
     fn history_edit_matches_from_scratch_on_edited_queries() {
-        // Fold 8 queries in cold, merge the oldest two into a bounding-box
-        // summary via the signed downdate path, and demand the warm
-        // re-solve matches a from-scratch train over the edited history.
+        // Fold 40 queries in cold, merge the oldest two into a bounding-box
+        // summary via the factor downdate path (in place, not through the
+        // refactor fallback), and demand the warm re-solve matches a
+        // from-scratch train over the edited history.
         let d = domain();
         let subs = grid_subpops(&d);
         let queries: Vec<ObservedQuery> = (0..40)
@@ -839,6 +845,7 @@ mod tests {
         });
         trainer.apply_history_edit(0, 1, &merged).unwrap();
         assert_eq!(trainer.trained_queries(), queries.len() - 1);
+        assert!(!refactored(&trainer), "the edit fell back to a refactor");
 
         let mut edited: Vec<ObservedQuery> = queries[2..].to_vec();
         edited.insert(0, merged);
@@ -849,13 +856,14 @@ mod tests {
             assert!((wi - ws).abs() < 1e-6, "edited {wi} vs scratch {ws}");
         }
 
-        // Enough edits to force a factor refresh keep matching too.
+        // Many more edits keep matching too.
         let mut current = edited.clone();
         for _ in 0..14 {
             let merged = ObservedQuery::new(current[0].rect.hull(&current[1].rect), {
                 (current[0].selectivity + current[1].selectivity) / 2.0
             });
             trainer.apply_history_edit(0, 1, &merged).unwrap();
+            assert!(!refactored(&trainer), "the edit fell back to a refactor");
             current.remove(1);
             current[0] = merged;
             if current.len() < 2 {
@@ -866,7 +874,7 @@ mod tests {
         let (scratch_model, _) =
             train(&d, subs, &current, TrainingMethod::AnalyticPenalty, 1e6, 0.0).unwrap();
         for (wi, ws) in warm_model.weights().iter().zip(scratch_model.weights()) {
-            assert!((wi - ws).abs() < 1e-5, "post-refresh {wi} vs scratch {ws}");
+            assert!((wi - ws).abs() < 1e-5, "after many edits {wi} vs scratch {ws}");
         }
     }
 }

@@ -14,8 +14,9 @@ use proptest::prelude::*;
 use quicksel_core::{QuickSel, RefinePolicy};
 use quicksel_data::datasets::gaussian::gaussian_table;
 use quicksel_data::workload::{CenterMode, QueryGenerator, RectWorkload, ShiftMode};
-use quicksel_data::{Estimate, Learn, ObservedQuery};
+use quicksel_data::{Estimate, Learn, ObservedQuery, RefineOutcome};
 use quicksel_geometry::{Domain, Rect};
+use quicksel_linalg::{factor_spd, solve_spd};
 
 fn domain() -> Domain {
     Domain::of_reals(&[("x", 0.0, 10.0), ("y", 0.0, 10.0)])
@@ -117,6 +118,51 @@ fn stationary_workload_stays_accurate_under_eviction() {
         err_bounded <= err_unbounded + 0.05,
         "bounded mean abs error {err_bounded:.4} vs unbounded {err_unbounded:.4}"
     );
+}
+
+#[test]
+fn long_bounded_run_keeps_the_updated_factor_on_a_fresh_solve() {
+    // A cold build on 100 rows, then 1,400 single-row warm refines: the
+    // first 900 fill the budget, and each of the last 500 also forces a
+    // compaction merge, which the trainer's factor takes as one update
+    // and two downdates. After all of them the weights must stay within
+    // 1e-8 (relative) of a fresh factorization of the system the trainer
+    // answers for, with its Gram recomputed from A.
+    let mut est = QuickSel::builder(domain())
+        .refine_policy(RefinePolicy::Manual)
+        .fixed_subpops(64)
+        .drift_patience(usize::MAX)
+        .seed(5)
+        .max_history(1000)
+        .build();
+    est.observe_batch(&(0..100).map(obs).collect::<Vec<_>>());
+    est.refine().unwrap();
+    for k in 100..1500 {
+        est.observe_batch(&[obs(k)]);
+        let outcome = est.refine().unwrap();
+        assert!(
+            matches!(outcome, RefineOutcome::Retrained { incremental: true, .. }),
+            "refine {k} was not warm: {outcome:?}"
+        );
+    }
+    assert!(est.evicted_rows() >= 500, "only {} merges", est.evicted_rows());
+
+    let t = est.export_state().trainer.unwrap();
+    // The factor was maintained in place: it is not what a refactor of
+    // the maintained system would give.
+    let mut maintained = t.q.clone();
+    maintained.add_scaled(t.lambda, &t.gram);
+    maintained.add_diagonal(t.ridge_abs);
+    assert_ne!(t.factor_lower.as_slice(), factor_spd(&maintained).unwrap().l().as_slice());
+    let mut system = t.q.clone();
+    system.add_scaled(t.lambda, &t.a.gram());
+    system.add_diagonal(t.ridge_abs);
+    let rhs: Vec<f64> = t.a.t_matvec(&t.s).iter().map(|v| v * t.lambda).collect();
+    let fresh = solve_spd(&system, &rhs).unwrap();
+    let scale = fresh.iter().fold(0.0f64, |m, w| m.max(w.abs()));
+    for (w, f) in est.model().unwrap().weights().iter().zip(&fresh) {
+        assert!((w - f).abs() < 1e-8 * scale, "updated {w} vs fresh {f}");
+    }
 }
 
 #[test]

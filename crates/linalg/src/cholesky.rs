@@ -71,7 +71,16 @@ impl CholeskyFactor {
         for i in 0..n {
             l.row_mut(i)[..=i].copy_from_slice(&a.row(i)[..=i]);
         }
-        let data = l.as_mut_slice();
+        Self::factor_lower(&mut l)?;
+        Ok(Self { l })
+    }
+
+    /// [`new`](Self::new)'s factorization in `a`'s own storage (`a`
+    /// square): `L` overwrites the lower triangle, and the strict upper
+    /// triangle is neither read nor written.
+    pub(crate) fn factor_lower(a: &mut DMatrix) -> Result<(), LinalgError> {
+        let n = a.rows();
+        let data = a.as_mut_slice();
         // Scratch: the current factored diagonal block (row-major
         // kb×kb), L1-resident.
         let mut diag = [0.0f64; CHOL_BLOCK * CHOL_BLOCK];
@@ -153,7 +162,7 @@ impl CholeskyFactor {
             }
             k0 += kb;
         }
-        Ok(Self { l })
+        Ok(())
     }
 
     /// The reference unblocked factorization (the pre-optimization
@@ -203,6 +212,11 @@ impl CholeskyFactor {
         &self.l
     }
 
+    /// Consumes the factor, returning its lower triangle.
+    pub fn into_lower(self) -> DMatrix {
+        self.l
+    }
+
     /// Rebuilds a factor from a previously-computed lower triangle (e.g.
     /// one captured by [`l`](Self::l) for persistence). The matrix must
     /// be square with finite, strictly positive diagonal entries — the
@@ -236,17 +250,9 @@ impl CholeskyFactor {
     /// equation using row `i` of `L` as one contiguous slice, instead of
     /// walking column `i` with stride `n`.
     pub fn solve(&self, b: &[f64]) -> Vec<f64> {
-        let mut x = b.to_vec();
-        self.solve_in_place(&mut x);
-        x
-    }
-
-    /// [`solve`](Self::solve) into a caller-provided buffer holding `b`
-    /// on entry and `x` on return — repeated solves (ADMM iterations,
-    /// Woodbury corrections) reuse one allocation.
-    pub fn solve_in_place(&self, b: &mut [f64]) {
         let n = self.l.rows();
         assert_eq!(b.len(), n, "rhs length mismatch");
+        let mut b = b.to_vec();
         // Forward: L y = b (row-prefix dots, unrolled-accumulator kernel).
         for i in 0..n {
             let row = self.l.row(i);
@@ -264,6 +270,7 @@ impl CholeskyFactor {
                 }
             }
         }
+        b
     }
 
     /// The reference substitution sweeps (the pre-optimization
@@ -315,7 +322,7 @@ fn panel_solve_row(row: &mut [f64], diag: &[f64; CHOL_BLOCK * CHOL_BLOCK], kb: u
 
 /// The trailing update `A22 -= P·Pᵀ` restricted to output rows `rows`,
 /// with the serial sweep's exact tiling and `dot`/`dot4` kernels (see
-/// step 3 in [`CholeskyFactor::new`]). Writes touch only `rows`' cells
+/// step 3 in [`CholeskyFactor::factor_lower`]). Writes touch only `rows`' cells
 /// at columns `>= k0 + kb`; reads touch only columns `[k0, k0 + kb)`,
 /// which no trailing update writes.
 ///

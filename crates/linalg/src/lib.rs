@@ -28,7 +28,7 @@ pub use cholesky::{factor_spd, solve_spd, CholeskyFactor, CHOL_BLOCK};
 pub use lu::LuFactor;
 pub use matrix::DMatrix;
 pub use qp::{solve_analytic, AdmmQp, AdmmReport, QpProblem};
-pub use update::{RankUpdateSolver, WOODBURY_REFRESH_RANK};
+pub use update::UpdatableCholesky;
 
 /// Errors surfaced by factorizations and solvers.
 #[derive(Debug, Clone, PartialEq)]

@@ -4,7 +4,7 @@
 //! `Q + λAᵀA` system structure).
 
 use proptest::prelude::*;
-use quicksel_linalg::{factor_spd, CholeskyFactor, DMatrix, RankUpdateSolver, CHOL_BLOCK};
+use quicksel_linalg::{factor_spd, CholeskyFactor, DMatrix, UpdatableCholesky, CHOL_BLOCK};
 
 /// Deterministic diagonally-dominant SPD matrix of order `n`.
 fn spd(n: usize, seed: u64) -> DMatrix {
@@ -86,30 +86,35 @@ fn quicksel_shaped_system_factors_and_solves() {
 }
 
 #[test]
-fn woodbury_matches_refactor_at_scale() {
+fn in_place_updates_match_refactor_at_scale() {
+    // Six rows folded in (fused passes of four and two), then two of
+    // them folded back out, against a refactor of the dense system.
     let m = CHOL_BLOCK + 33;
-    let sys = quicksel_shaped(m, 10, 1e3);
     let lambda = 1e3;
-    let mut solver = RankUpdateSolver::new(&sys, lambda).unwrap();
-    let mut dense = sys.clone();
-    for r in 0..6 {
-        let row: Vec<f64> = (0..m)
-            .map(|c| if (c + r) % 3 == 0 { ((c * 5 + r) % 7) as f64 * 0.1 } else { 0.0 })
-            .collect();
-        solver.append_row(&row);
+    let sys = quicksel_shaped(m, 10, lambda);
+    let rows: Vec<f64> = (0..6)
+        .flat_map(|r| {
+            (0..m).map(move |c| if (c + r) % 3 == 0 { ((c * 5 + r) % 7) as f64 * 0.1 } else { 0.0 })
+        })
+        .collect();
+    let mut factor = UpdatableCholesky::factor(sys.clone()).unwrap();
+    factor.update(&rows, lambda);
+    let mut dense = sys;
+    for (r, row) in rows.chunks(m).enumerate() {
+        if r % 3 == 1 {
+            factor.downdate(row, lambda).unwrap();
+            continue;
+        }
         for (i, &ri) in row.iter().enumerate() {
-            if ri == 0.0 {
-                continue;
-            }
             for (j, &rj) in row.iter().enumerate() {
                 dense.add_to(i, j, lambda * ri * rj);
             }
         }
     }
     let b: Vec<f64> = (0..m).map(|i| 0.01 * (i as f64) - 0.5).collect();
-    let woodbury = solver.solve(&b).unwrap();
+    let updated = factor.solve(&b);
     let refactored = factor_spd(&dense).unwrap().solve(&b);
-    for (u, v) in woodbury.iter().zip(&refactored) {
+    for (u, v) in updated.iter().zip(&refactored) {
         assert!((u - v).abs() < 1e-7, "{u} vs {v}");
     }
 }

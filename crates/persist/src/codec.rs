@@ -37,6 +37,10 @@ pub const STATE_MAGIC: [u8; 4] = *b"QSES";
 ///   exact semantics a v1 estimator had (unbounded history, default
 ///   drift knobs, all-positive pending rows), and `point_counts` is
 ///   reconstructed from the points-per-query setting.
+///
+/// New captures write the trainer's pending-row fields empty, since the
+/// factor is updated in place; a capture that carries pending rows
+/// restores by refactoring its captured system.
 pub const STATE_VERSION: u16 = 2;
 
 const SEC_DOMAIN: [u8; 4] = *b"DOMN";
@@ -277,6 +281,14 @@ fn get_trainer(r: &mut Reader<'_>, version: u16) -> Result<TrainerState, Persist
     let pending_rows = get_f64s(r, "pending rows")?;
     let pending_solved = get_f64s(r, "pending solves")?;
     let pending_rank = r.usize("pending rank")?;
+    // Pending rows are `pending_rank × m`; a rank that disagrees is
+    // refused before it can size an allocation.
+    if pending_rank > pending_rows.len()
+        || pending_rank.checked_mul(m) != Some(pending_rows.len())
+        || pending_solved.len() != pending_rows.len()
+    {
+        return Err(PersistError::Invalid { context: "pending rank disagrees with pending rows" });
+    }
     let lambda = r.f64("trainer lambda")?;
     let ridge_abs = r.f64("trainer ridge")?;
     let warm_refines = r.usize("warm refines")?;

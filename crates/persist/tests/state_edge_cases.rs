@@ -5,9 +5,12 @@
 //! round-trip to bit-identical estimates.
 
 use proptest::prelude::*;
-use quicksel_core::{QuickSel, QuickSelState, RefinePolicy, StateError, TrainingMethod};
+use quicksel_core::{
+    IncrementalTrainer, QuickSel, QuickSelState, RefinePolicy, StateError, TrainingMethod,
+};
 use quicksel_data::{Estimate, Learn, ObservedQuery, RefineOutcome};
 use quicksel_geometry::{Domain, Interval, Rect};
+use quicksel_linalg::{factor_spd, solve_spd};
 use quicksel_persist::format::{write_container, PutBytes};
 use quicksel_persist::{
     decode_state, encode_domain, encode_rect, encode_state, PersistError, PersistLearner,
@@ -346,6 +349,86 @@ fn v1_point_pool_mismatch_is_rejected() {
     state.point_pool.pop();
     let v1_bytes = encode_state_v1(&state);
     assert!(matches!(decode_state(&v1_bytes), Err(PersistError::Invalid { .. })));
+}
+
+#[test]
+fn v1_absurd_pending_rank_is_a_typed_error() {
+    // A v1 trainer section whose pending rank claims 2⁴⁰ rows against an
+    // empty pending list: decoding must refuse it with a typed error
+    // instead of sizing an allocation from it.
+    let est = trained(13, 3);
+    let mut state = est.export_state();
+    state.trainer.as_mut().unwrap().pending_rank = 1 << 40;
+    let v1_bytes = encode_state_v1(&state);
+    assert!(matches!(decode_state(&v1_bytes), Err(PersistError::Invalid { .. })));
+}
+
+/// Rewrites a capture the way a trainer with a Woodbury solver wrote
+/// it: the last `k` constraint rows pending on top of a factor of the
+/// system without them, each with its cached base-system solve.
+fn with_woodbury_pending_rows(state: &mut QuickSelState, k: usize) {
+    let t = state.trainer.as_mut().unwrap();
+    let m = t.subpops.len();
+    let rows = t.a.as_slice()[(t.a.rows() - k) * m..].to_vec();
+    let mut base = t.gram.clone();
+    for r in rows.chunks(m) {
+        for (i, &ri) in r.iter().enumerate() {
+            for (j, &rj) in r.iter().enumerate() {
+                base.add_to(i, j, -ri * rj);
+            }
+        }
+    }
+    let mut system = t.q.clone();
+    system.add_scaled(t.lambda, &base);
+    system.add_diagonal(t.ridge_abs);
+    let factor = factor_spd(&system).unwrap();
+    t.factor_lower = factor.l().clone();
+    t.solver_scale = t.lambda;
+    t.pending_solved = rows.chunks(m).flat_map(|r| factor.solve(r)).collect();
+    t.pending_rows = rows;
+    t.pending_signs = vec![1.0; k];
+    t.pending_rank = k;
+}
+
+#[test]
+fn capture_with_woodbury_pending_rows_restores_and_resumes_warm() {
+    let est = trained(11, 3);
+    let mut state = est.export_state();
+    assert!(!state.force_cold, "fixture must resume warm");
+    let t = state.trainer.as_ref().unwrap();
+    assert!(t.pending_rank == 0 && t.pending_rows.is_empty(), "new captures carry no pending rows");
+    assert!(t.pending_solved.is_empty() && t.pending_signs.is_empty());
+    with_woodbury_pending_rows(&mut state, 8);
+    let decoded = decode_state(&encode_state(&state)).expect("a pending capture decodes");
+
+    // The restored trainer answers for its captured system, as a fresh
+    // factorization of `Q + λAᵀA + εI` does, and refines warm.
+    let t = decoded.trainer.clone().unwrap();
+    let mut system = t.q.clone();
+    system.add_scaled(t.lambda, &t.gram);
+    system.add_diagonal(t.ridge_abs);
+    let rhs: Vec<f64> = t.ats.iter().map(|v| v * t.lambda).collect();
+    let fresh = solve_spd(&system, &rhs).unwrap();
+    let mut trainer = IncrementalTrainer::try_from_state(t).expect("a pending capture restores");
+    let (model, report) = trainer.refine(&[]).unwrap();
+    assert!(report.assembly_reused);
+    let scale = fresh.iter().fold(0.0f64, |m, w| m.max(w.abs()));
+    for (w, f) in model.weights().iter().zip(&fresh) {
+        assert!((w - f).abs() <= 1e-9 * scale, "restored {w} vs fresh {f}");
+    }
+
+    // The estimator restores with bit-identical estimates, resumes
+    // warm, and its next capture carries no pending rows.
+    let mut restored = QuickSel::try_from_state(decoded).expect("estimator restores");
+    for p in probes() {
+        assert_eq!(est.estimate(&p), restored.estimate(&p));
+    }
+    restored.observe_batch(&(0..4).map(|j| obs(700 + j)).collect::<Vec<_>>());
+    match restored.refine().expect("post-restore refine") {
+        RefineOutcome::Retrained { incremental, .. } => assert!(incremental),
+        other => panic!("expected a retrain, got {other:?}"),
+    }
+    assert_eq!(restored.export_state().trainer.unwrap().pending_rank, 0);
 }
 
 #[test]
