@@ -126,20 +126,9 @@ fn main() {
     }
     println!("  headline (B=4096, m=1024): {headline_speedup:.2}x");
 
-    let json = format!(
-        "{{\"bench\":\"batched_estimate\",\"meta\":{},\"dim\":{DIM},\"grid\":[{}],\"headline_speedup_b4096_m1024\":{headline_speedup:.3}}}",
-        quicksel_bench::host_meta_json(),
+    let fields = format!(
+        "\"dim\":{DIM},\"grid\":[{}],\"headline_speedup_b4096_m1024\":{headline_speedup:.3}",
         lines.join(",")
     );
-    println!("{json}");
-
-    let out = std::env::var("BATCHED_BENCH_OUT")
-        .unwrap_or_else(|_| "target/bench-results/batched_estimate.json".into());
-    if let Some(parent) = std::path::Path::new(&out).parent() {
-        let _ = std::fs::create_dir_all(parent);
-    }
-    match std::fs::write(&out, format!("{json}\n")) {
-        Ok(()) => println!("wrote {out}"),
-        Err(e) => eprintln!("could not write {out}: {e}"),
-    }
+    quicksel_bench::write_bench_json("batched_estimate", "BATCHED_BENCH_OUT", &fields);
 }

@@ -185,21 +185,10 @@ fn main() {
     let writes: Vec<String> = BUDGETS.iter().map(|&m| bench_checkpoint_write(m)).collect();
     let recoveries: Vec<String> = TAILS.iter().map(|&t| bench_recovery(t)).collect();
 
-    let json = format!(
-        "{{\"bench\":\"checkpoint_recover\",\"meta\":{},\"checkpoint_write\":[{}],\"recovery\":[{}]}}",
-        quicksel_bench::host_meta_json(),
+    let fields = format!(
+        "\"checkpoint_write\":[{}],\"recovery\":[{}]",
         writes.join(","),
         recoveries.join(",")
     );
-    println!("{json}");
-
-    let out = std::env::var("CHECKPOINT_BENCH_OUT")
-        .unwrap_or_else(|_| "target/bench-results/checkpoint_recover.json".into());
-    if let Some(parent) = std::path::Path::new(&out).parent() {
-        let _ = std::fs::create_dir_all(parent);
-    }
-    match std::fs::write(&out, format!("{json}\n")) {
-        Ok(()) => println!("wrote {out}"),
-        Err(e) => eprintln!("could not write {out}: {e}"),
-    }
+    quicksel_bench::write_bench_json("checkpoint_recover", "CHECKPOINT_BENCH_OUT", &fields);
 }

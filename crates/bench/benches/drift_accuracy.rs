@@ -159,13 +159,12 @@ fn main() {
         unbounded.est.drift_resamples()
     );
 
-    let json = format!(
-        "{{\"bench\":\"drift_accuracy\",\"meta\":{},\"budget\":{budget},\"subpops\":{subpops},\
+    let fields = format!(
+        "\"budget\":{budget},\"subpops\":{subpops},\
          \"phases\":[{}],\
          \"mean_err_unbounded\":{mean_u:.6},\"mean_err_bounded\":{mean_b:.6},\
          \"peak_history_unbounded\":{},\"peak_history_bounded\":{},\
-         \"evicted_rows\":{},\"drift_resamples_bounded\":{},\"drift_resamples_unbounded\":{}}}",
-        quicksel_bench::host_meta_json(),
+         \"evicted_rows\":{},\"drift_resamples_bounded\":{},\"drift_resamples_unbounded\":{}",
         phase_json.join(","),
         unbounded.peak_history,
         bounded.peak_history,
@@ -173,15 +172,5 @@ fn main() {
         bounded.est.drift_resamples(),
         unbounded.est.drift_resamples(),
     );
-    println!("{json}");
-
-    let out = std::env::var("DRIFT_BENCH_OUT")
-        .unwrap_or_else(|_| "target/bench-results/drift_accuracy.json".into());
-    if let Some(parent) = std::path::Path::new(&out).parent() {
-        let _ = std::fs::create_dir_all(parent);
-    }
-    match std::fs::write(&out, format!("{json}\n")) {
-        Ok(()) => println!("wrote {out}"),
-        Err(e) => eprintln!("could not write {out}: {e}"),
-    }
+    quicksel_bench::write_bench_json("drift_accuracy", "DRIFT_BENCH_OUT", &fields);
 }

@@ -194,20 +194,6 @@ fn main() {
         clients *= 4;
     }
 
-    let json = format!(
-        "{{\"bench\":\"net_load\",\"meta\":{},\"mixed\":[{}]}}",
-        quicksel_bench::host_meta_json(),
-        rows.join(",")
-    );
-    println!("{json}");
-
-    let out = std::env::var("NET_LOAD_OUT")
-        .unwrap_or_else(|_| "target/bench-results/net_load.json".into());
-    if let Some(parent) = std::path::Path::new(&out).parent() {
-        let _ = std::fs::create_dir_all(parent);
-    }
-    match std::fs::write(&out, format!("{json}\n")) {
-        Ok(()) => println!("wrote {out}"),
-        Err(e) => eprintln!("could not write {out}: {e}"),
-    }
+    let fields = format!("\"mixed\":[{}]", rows.join(","));
+    quicksel_bench::write_bench_json("net_load", "NET_LOAD_OUT", &fields);
 }

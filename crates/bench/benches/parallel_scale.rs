@@ -23,7 +23,7 @@
 //! *on a host with ≥4 cores*; the `meta.available_parallelism` field is
 //! what makes a 1.0× on a single-core runner interpretable.
 
-use quicksel_bench::host_meta_json;
+use quicksel_bench::write_bench_json;
 use quicksel_core::subpop::{sample_centers, size_subpopulations, workload_points};
 use quicksel_core::train::IncrementalTrainer;
 use quicksel_core::{FrozenModel, SubpopGrid, UniformMixtureModel};
@@ -263,20 +263,9 @@ fn main() {
     println!(
         "  headline (4 threads): qp_assembly {headline_assembly:.2}x, batched_estimate {headline_batched:.2}x"
     );
-    let json = format!(
-        "{{\"bench\":\"parallel_scale\",\"meta\":{},\"thread_counts\":{thread_counts:?},\"grid\":[{}],\"headline_qp_assembly_speedup_t4\":{headline_assembly:.3},\"headline_batched_speedup_t4\":{headline_batched:.3}}}",
-        host_meta_json(),
+    let fields = format!(
+        "\"thread_counts\":{thread_counts:?},\"grid\":[{}],\"headline_qp_assembly_speedup_t4\":{headline_assembly:.3},\"headline_batched_speedup_t4\":{headline_batched:.3}",
         lines.join(",")
     );
-    println!("{json}");
-
-    let out = std::env::var("PARALLEL_BENCH_OUT")
-        .unwrap_or_else(|_| "target/bench-results/parallel_scale.json".into());
-    if let Some(parent) = std::path::Path::new(&out).parent() {
-        let _ = std::fs::create_dir_all(parent);
-    }
-    match std::fs::write(&out, format!("{json}\n")) {
-        Ok(()) => println!("wrote {out}"),
-        Err(e) => eprintln!("could not write {out}: {e}"),
-    }
+    write_bench_json("parallel_scale", "PARALLEL_BENCH_OUT", &fields);
 }

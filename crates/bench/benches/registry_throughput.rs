@@ -128,23 +128,13 @@ fn main() {
     println!("  uncached registry.estimate: {uncached_ns:.1} ns/op");
     println!("  cached   provider.estimate: {cached_ns:.1} ns/op (hit rate {:.4})", hit_rate);
 
-    let json = format!(
-        "{{\"bench\":\"registry_throughput\",\"ingest\":[{}],\"read\":{{\"probes\":{},\"uncached_ns_per_op\":{:.2},\"cached_ns_per_op\":{:.2},\"cache_hit_rate\":{:.6}}}}}",
+    let fields = format!(
+        "\"ingest\":[{}],\"read\":{{\"probes\":{},\"uncached_ns_per_op\":{:.2},\"cached_ns_per_op\":{:.2},\"cache_hit_rate\":{:.6}}}",
         shard_lines.join(","),
         READ_PROBES,
         uncached_ns,
         cached_ns,
         hit_rate
     );
-    println!("{json}");
-
-    let out = std::env::var("REGISTRY_BENCH_OUT")
-        .unwrap_or_else(|_| "target/bench-results/registry_throughput.json".into());
-    if let Some(parent) = std::path::Path::new(&out).parent() {
-        let _ = std::fs::create_dir_all(parent);
-    }
-    match std::fs::write(&out, format!("{json}\n")) {
-        Ok(()) => println!("wrote {out}"),
-        Err(e) => eprintln!("could not write {out}: {e}"),
-    }
+    quicksel_bench::write_bench_json("registry_throughput", "REGISTRY_BENCH_OUT", &fields);
 }

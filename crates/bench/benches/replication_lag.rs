@@ -193,24 +193,13 @@ fn main() {
          rows, {bytes_fetched} bytes shipped, converged bit-exact"
     );
 
-    let json = format!(
-        "{{\"bench\":\"replication_lag\",\"meta\":{},\"run\":{{\"secs\":{secs},\
+    let fields = format!(
+        "\"run\":{{\"secs\":{secs},\
          \"rows_ingested\":{rows_ingested},\"syncs\":{syncs},\"sync_errors\":{sync_errors},\
          \"sync_p50_us\":{sync_p50:.1},\"sync_p99_us\":{sync_p99:.1},\
          \"mean_lag_rows\":{mean_lag:.1},\"max_lag_rows\":{max_lag},\
-         \"bytes_fetched\":{bytes_fetched},\"bit_exact\":true}}}}",
-        quicksel_bench::host_meta_json(),
+         \"bytes_fetched\":{bytes_fetched},\"bit_exact\":true}}"
     );
-    println!("{json}");
-
-    let out = std::env::var("REPL_LAG_OUT")
-        .unwrap_or_else(|_| "target/bench-results/replication_lag.json".into());
-    if let Some(parent) = std::path::Path::new(&out).parent() {
-        let _ = std::fs::create_dir_all(parent);
-    }
-    match std::fs::write(&out, format!("{json}\n")) {
-        Ok(()) => println!("wrote {out}"),
-        Err(e) => eprintln!("could not write {out}: {e}"),
-    }
+    quicksel_bench::write_bench_json("replication_lag", "REPL_LAG_OUT", &fields);
     let _ = std::fs::remove_dir_all(&scratch);
 }

@@ -225,20 +225,9 @@ fn main() {
     }
 
     println!("  headline (m=4000): cold {headline_cold:.2}x, warm incremental {headline_warm:.1}x");
-    let json = format!(
-        "{{\"bench\":\"train_throughput\",\"meta\":{},\"lambda\":{LAMBDA:e},\"grid\":[{}],\"headline_cold_speedup_m4000\":{headline_cold:.3},\"headline_warm_speedup_m4000\":{headline_warm:.3}}}",
-        quicksel_bench::host_meta_json(),
+    let fields = format!(
+        "\"lambda\":{LAMBDA:e},\"grid\":[{}],\"headline_cold_speedup_m4000\":{headline_cold:.3},\"headline_warm_speedup_m4000\":{headline_warm:.3}",
         lines.join(",")
     );
-    println!("{json}");
-
-    let out = std::env::var("TRAIN_BENCH_OUT")
-        .unwrap_or_else(|_| "target/bench-results/train_throughput.json".into());
-    if let Some(parent) = std::path::Path::new(&out).parent() {
-        let _ = std::fs::create_dir_all(parent);
-    }
-    match std::fs::write(&out, format!("{json}\n")) {
-        Ok(()) => println!("wrote {out}"),
-        Err(e) => eprintln!("could not write {out}: {e}"),
-    }
+    quicksel_bench::write_bench_json("train_throughput", "TRAIN_BENCH_OUT", &fields);
 }

@@ -205,18 +205,8 @@ fn write_json() {
     baseline!("isomer_qp", IsomerQp::new(table.domain().clone()));
     baseline!("query_model", QueryModel::new(table.domain().clone()));
 
-    let json =
-        format!("{{\"bench\":\"train_time\",\"queries\":{n},\"grid\":[{}]}}", lines.join(","));
-    println!("{json}");
-    let out = std::env::var("TRAIN_TIME_BENCH_OUT")
-        .unwrap_or_else(|_| "target/bench-results/train_time.json".into());
-    if let Some(parent) = std::path::Path::new(&out).parent() {
-        let _ = std::fs::create_dir_all(parent);
-    }
-    match std::fs::write(&out, format!("{json}\n")) {
-        Ok(()) => println!("wrote {out}"),
-        Err(e) => eprintln!("could not write {out}: {e}"),
-    }
+    let fields = format!("\"queries\":{n},\"grid\":[{}]", lines.join(","));
+    quicksel_bench::write_bench_json("train_time", "TRAIN_TIME_BENCH_OUT", &fields);
 }
 
 fn main() {

@@ -1,17 +1,18 @@
-//! Host/parallelism metadata for the machine-readable bench JSON.
+//! Host/parallelism metadata for the machine-readable bench JSON, and
+//! the one writer for those documents.
 //!
-//! Every bench that writes a `target/bench-results/*.json` document
-//! embeds [`host_meta_json`] under a `"meta"` key, so `BENCH_*.json`
-//! trajectories collected on different machines (or different
-//! `QUICKSEL_THREADS` settings) stay comparable: a 2× headline on a
-//! 16-core box and a 1.0× on a 1-core CI runner are both *expected*,
-//! and the metadata is what tells them apart.
+//! Every bench writes its `target/bench-results/*.json` document through
+//! [`write_bench_json`], which embeds the host metadata under a `"meta"`
+//! key, so `BENCH_*.json` trajectories collected on different machines
+//! (or different `QUICKSEL_THREADS` settings) stay comparable: a 2×
+//! headline on a 16-core box and a 1.0× on a 1-core CI runner are both
+//! *expected*, and the metadata is what tells them apart.
 
 /// One JSON object with the effective workspace-pool thread count, the
 /// host's advertised parallelism, any `QUICKSEL_THREADS` override, and
 /// the OS/arch pair. Forces the global pool into existence (and thereby
 /// warms it) on first call.
-pub fn host_meta_json() -> String {
+fn host_meta_json() -> String {
     let available =
         std::thread::available_parallelism().map(std::num::NonZeroUsize::get).unwrap_or(1);
     let threads = quicksel_parallel::global().threads();
@@ -31,9 +32,40 @@ pub fn host_meta_json() -> String {
     )
 }
 
+/// Prints one bench's machine-readable result and writes it to the path
+/// in the environment variable `out_env`, by default
+/// `target/bench-results/<name>.json` (relative to the working
+/// directory). The document is `{"bench":<name>,"meta":<host meta>,
+/// <fields>}`: `fields` holds the bench's own members, already JSON. A
+/// failed write is reported on stderr; the printed copy still stands.
+pub fn write_bench_json(name: &str, out_env: &str, fields: &str) {
+    let json = bench_document(name, fields);
+    println!("{json}");
+    let out =
+        std::env::var(out_env).unwrap_or_else(|_| format!("target/bench-results/{name}.json"));
+    if let Some(parent) = std::path::Path::new(&out).parent() {
+        let _ = std::fs::create_dir_all(parent);
+    }
+    match std::fs::write(&out, format!("{json}\n")) {
+        Ok(()) => println!("wrote {out}"),
+        Err(e) => eprintln!("could not write {out}: {e}"),
+    }
+}
+
+fn bench_document(name: &str, fields: &str) -> String {
+    format!("{{\"bench\":\"{name}\",\"meta\":{},{fields}}}", host_meta_json())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn document_leads_with_bench_and_meta() {
+        let doc = bench_document("demo", "\"x\":1");
+        assert!(doc.starts_with("{\"bench\":\"demo\",\"meta\":{\"threads\":"), "{doc}");
+        assert!(doc.ends_with("},\"x\":1}"), "{doc}");
+    }
 
     #[test]
     fn meta_has_the_comparability_keys() {

@@ -17,7 +17,7 @@ pub mod report;
 pub mod scale;
 
 pub use driver::{evaluate, run_query_driven, score, QueryDrivenRun};
-pub use host::host_meta_json;
+pub use host::write_bench_json;
 pub use methods::{make_estimator, MethodKind};
 pub use report::{fmt_duration_ms, fmt_pct, TextTable};
 pub use scale::Scale;

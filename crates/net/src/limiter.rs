@@ -6,15 +6,19 @@
 //! estimate requests execute at once" are statements an operator can
 //! size against hardware, and the matching pushback (`Retry{after_ms}`)
 //! tells a client *when* capacity returns instead of just that it was
-//! refused. The gauges these decisions read live in
-//! [`quicksel_service::ServiceStats`]; this module owns the enforcement.
+//! refused. Both primitives are self-contained: they read none of the
+//! rate gauges in [`quicksel_service::ServiceStats`], which are reported
+//! through `Stats` only.
 
 use std::sync::atomic::{AtomicU64, Ordering::SeqCst};
 use std::sync::Arc;
 use std::time::Instant;
 
 /// A classic token bucket: `rate` tokens refill per second up to
-/// `burst`, and each admitted unit of work takes one token. Not
+/// `burst`, and each admitted unit of work takes one token. A take
+/// larger than `burst` is admitted from a full bucket and leaves it in
+/// debt (negative tokens) that the refill repays, so the long-run rate
+/// holds whatever the batch size. Not
 /// thread-safe by itself — the server keys one bucket per table behind
 /// a mutex (admission is a few arithmetic ops; the lock is never the
 /// bottleneck next to the work it admits).
@@ -54,26 +58,30 @@ impl TokenBucket {
         self.tokens = (self.tokens + elapsed * self.rate).min(self.burst);
     }
 
-    /// Tries to take `n` tokens. `Ok(())` admits the work; `Err(ms)`
-    /// refuses it and reports how many milliseconds until the bucket
-    /// will have refilled enough (the `Retry{after_ms}` the client
-    /// sees). Refused work takes nothing — a retried request is charged
-    /// once, when it is admitted.
+    /// Tries to take `n` tokens. The bucket admits once it holds
+    /// `min(n, burst)` tokens and then charges all `n`, so a take larger
+    /// than the burst is admitted from a full bucket instead of never.
+    /// `Ok(())` admits the work; `Err(ms)` refuses it and reports how
+    /// many milliseconds until the bucket will have refilled enough (the
+    /// `Retry{after_ms}` the client sees). Refused work takes nothing — a
+    /// retried request is charged once, when it is admitted.
     pub fn try_take(&mut self, n: u64) -> Result<(), u64> {
         if self.is_unlimited() {
             return Ok(());
         }
         self.refill();
         let need = n as f64;
-        if self.tokens >= need {
+        let admit_at = need.min(self.burst);
+        if self.tokens >= admit_at {
             self.tokens -= need;
             return Ok(());
         }
-        // Time until the deficit refills; clamped to at least 1ms so a
-        // client never busy-spins on a zero backoff, and to
-        // [`MAX_RETRY_AFTER_MS`] so an extreme rate/burst ratio can't
-        // quote an astronomic (or `u64`-saturated) retry time.
-        let deficit = (need.min(self.burst)) - self.tokens;
+        // Time until the deficit (including any debt from an oversized
+        // take) refills; clamped to at least 1ms so a client never
+        // busy-spins on a zero backoff, and to [`MAX_RETRY_AFTER_MS`] so
+        // an extreme rate/burst ratio can't quote an astronomic (or
+        // `u64`-saturated) retry time.
+        let deficit = admit_at - self.tokens;
         let ms = (deficit / self.rate * 1000.0).ceil();
         let ms = if ms.is_finite() {
             ms.min(MAX_RETRY_AFTER_MS as f64) as u64
@@ -157,6 +165,19 @@ mod tests {
         // 10 tokens at 1000/s refill in ~10ms; the hint must not wildly
         // overshoot that.
         assert!(backoff <= 1000, "backoff hint {backoff}ms is unreasonable");
+    }
+
+    #[test]
+    fn oversized_batch_is_admitted_from_a_full_bucket_and_charged_in_full() {
+        let mut b = TokenBucket::new(100.0, 10.0);
+        assert!(b.try_take(25).is_ok(), "a full bucket admits a take larger than its burst");
+        // All 25 were charged: the next burst-sized take waits for the
+        // 15-token debt plus 10 tokens (250ms), not for 10 alone (100ms).
+        let backoff = b.try_take(10).unwrap_err();
+        assert!(backoff > 100, "debt not charged: hint {backoff}ms");
+        // The quoted hint comes true.
+        std::thread::sleep(std::time::Duration::from_millis(backoff));
+        assert!(b.try_take(10).is_ok(), "refused after waiting the {backoff}ms hint");
     }
 
     #[test]

@@ -45,11 +45,17 @@ pub const NET_MAGIC: [u8; 4] = *b"QSNW";
 /// Newest protocol version this build speaks. Version 2 adds the
 /// replication surface: a server role byte in `HelloAck`,
 /// `FetchManifest`/`FetchChunk` for checkpoint shipping, and
-/// replication lag fields in `StatsReply`.
-pub const PROTO_VERSION: u16 = 2;
+/// replication lag fields in `StatsReply`. Version 3 drops the two
+/// background-ingest-queue counters (queue-full rejects and queue
+/// depth) from `StatsReply`.
+pub const PROTO_VERSION: u16 = 3;
 
-/// Oldest protocol version this build still accepts.
-pub const PROTO_VERSION_MIN: u16 = 1;
+/// Oldest protocol version this build still accepts. Message layouts do
+/// not depend on the negotiated version, so this equals
+/// [`PROTO_VERSION`]: an older peer is refused at the handshake with
+/// [`WireError::VersionUnsupported`] rather than failing later on a
+/// message it cannot decode.
+pub const PROTO_VERSION_MIN: u16 = 3;
 
 /// Default cap on a single frame's body length (32 MiB — far above any
 /// sane batch, far below an allocation-bomb).
@@ -407,8 +413,7 @@ pub fn decode_hello(body: &[u8]) -> Result<(u16, u16), WireError> {
 }
 
 /// Encodes a `HelloAck` body carrying the negotiated version and the
-/// server's role. The role travels as a trailing byte that version-1
-/// decoders (which ignore trailing bytes here) skip harmlessly.
+/// server's role.
 pub fn encode_hello_ack(version: u16, role: ServerRole) -> Vec<u8> {
     let mut out = Vec::with_capacity(4);
     out.push(KIND_HELLO_ACK);
@@ -418,8 +423,7 @@ pub fn encode_hello_ack(version: u16, role: ServerRole) -> Vec<u8> {
 }
 
 /// Decodes a `HelloAck` body into the negotiated version and server
-/// role. An ack without the role byte (a version-1 server) is a
-/// primary — replicas did not exist before version 2.
+/// role.
 pub fn decode_hello_ack(body: &[u8]) -> Result<(u16, ServerRole), WireError> {
     let mut r = Reader::new(body);
     let kind = r.bytes(1, "hello-ack kind")?[0];
@@ -427,11 +431,7 @@ pub fn decode_hello_ack(body: &[u8]) -> Result<(u16, ServerRole), WireError> {
         return Err(WireError::UnknownKind { kind });
     }
     let version = r.u16("negotiated version")?;
-    let role = if r.remaining() == 0 {
-        ServerRole::Primary
-    } else {
-        ServerRole::from_u8(r.bytes(1, "server role")?[0])?
-    };
+    let role = ServerRole::from_u8(r.bytes(1, "server role")?[0])?;
     Ok((version, role))
 }
 
@@ -652,8 +652,6 @@ pub struct WireStats {
     pub refine_failures: u64,
     /// Batches rejected before ingestion (invalid feedback).
     pub rejected_batches: u64,
-    /// Queue-full rejects across all shard ingest queues.
-    pub backpressure_rejects: u64,
     /// Estimates requested for unregistered tables.
     pub missing_table_probes: u64,
     /// Feedback dropped because its table is unregistered.
@@ -662,8 +660,6 @@ pub struct WireStats {
     pub ingest_rows_per_s: f64,
     /// Predicate rectangles evaluated per second (trailing-window gauge).
     pub estimate_rects_per_s: f64,
-    /// Feedback batches queued behind background ingest workers.
-    pub ingest_queue_depth: u64,
     /// Connections the server has accepted over its lifetime.
     pub connections_accepted: u64,
     /// Connections currently being served.
@@ -711,7 +707,6 @@ impl WireStats {
             self.refines,
             self.refine_failures,
             self.rejected_batches,
-            self.backpressure_rejects,
             self.missing_table_probes,
             self.dropped_feedback,
         ] {
@@ -720,7 +715,6 @@ impl WireStats {
         out.put_f64(self.ingest_rows_per_s);
         out.put_f64(self.estimate_rects_per_s);
         for v in [
-            self.ingest_queue_depth,
             self.connections_accepted,
             self.active_connections,
             self.requests_served,
@@ -751,12 +745,10 @@ impl WireStats {
             refines: r.u64("stats refines")?,
             refine_failures: r.u64("stats refine failures")?,
             rejected_batches: r.u64("stats rejected batches")?,
-            backpressure_rejects: r.u64("stats backpressure")?,
             missing_table_probes: r.u64("stats missing probes")?,
             dropped_feedback: r.u64("stats dropped feedback")?,
             ingest_rows_per_s: r.f64("stats ingest rate")?,
             estimate_rects_per_s: r.f64("stats estimate rate")?,
-            ingest_queue_depth: r.u64("stats queue depth")?,
             connections_accepted: r.u64("stats connections")?,
             active_connections: r.u64("stats active connections")?,
             requests_served: r.u64("stats requests served")?,
@@ -1089,13 +1081,11 @@ mod tests {
     }
 
     #[test]
-    fn version_one_hello_ack_without_role_byte_decodes_as_primary() {
-        // A v1 server's ack: kind + negotiated version, nothing after.
+    fn hello_ack_with_unknown_role_byte_is_invalid() {
+        // An unknown role byte is corruption, not a silent primary.
         let mut ack = Vec::new();
         ack.push(KIND_HELLO_ACK);
-        ack.put_u16(1);
-        assert_eq!(decode_hello_ack(&ack).unwrap(), (1, ServerRole::Primary));
-        // An unknown role byte is corruption, not a silent primary.
+        ack.put_u16(PROTO_VERSION);
         ack.push(7);
         assert!(matches!(decode_hello_ack(&ack), Err(WireError::Invalid { .. })));
     }

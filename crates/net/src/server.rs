@@ -77,7 +77,8 @@ pub struct ServerConfig {
     /// with the refill time as the backoff hint.
     pub ingest_rows_per_s: f64,
     /// Token-bucket burst: rows a table may ingest instantaneously
-    /// after an idle period.
+    /// after an idle period. A larger batch is admitted from a full
+    /// bucket and its excess repaid by the refill.
     pub ingest_burst: f64,
     /// Backoff hint for `Retry` responses that have no natural refill
     /// time (concurrency gate, accept queue).
@@ -240,12 +241,10 @@ where
             refines: s.total.refines,
             refine_failures: s.total.refine_failures,
             rejected_batches: s.total.rejected_batches,
-            backpressure_rejects: s.backpressure_rejects,
             missing_table_probes: s.missing_table_probes,
             dropped_feedback: s.dropped_feedback,
             ingest_rows_per_s: s.total.ingest_rows_per_s,
             estimate_rects_per_s: s.total.estimate_rects_per_s,
-            ingest_queue_depth: s.total.ingest_queue_depth,
             degraded_shards: s.total.degraded,
             degraded_transitions: s.total.degraded_transitions,
             health_probes: s.total.health_probes,

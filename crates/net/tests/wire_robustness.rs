@@ -10,6 +10,7 @@ use quicksel_data::ObservedQuery;
 use quicksel_geometry::{Domain, Interval, Rect};
 use quicksel_net::proto::{
     self, Request, Response, WireError, WireStats, DEFAULT_MAX_FRAME, PROTO_VERSION,
+    PROTO_VERSION_MIN,
 };
 use quicksel_net::{ErrorCode, RetryCause};
 
@@ -55,12 +56,10 @@ fn arb_stats() -> impl Strategy<Value = WireStats> {
             refines: b % (1 << 20),
             refine_failures: b % 17,
             rejected_batches: b % 5,
-            backpressure_rejects: b % 97,
             missing_table_probes: a % 31,
             dropped_feedback: b % 13,
             ingest_rows_per_s: rate1,
             estimate_rects_per_s: rate2,
-            ingest_queue_depth: b % 1024,
             connections_accepted: a % (1 << 30),
             active_connections: a % 128,
             requests_served: b,
@@ -260,9 +259,13 @@ fn bad_hello_magic_is_typed() {
 #[test]
 fn version_skew_is_typed() {
     // A far-future client (versions 900..=901) meets this build.
-    let ours = (1u16, PROTO_VERSION);
+    let ours = (PROTO_VERSION_MIN, PROTO_VERSION);
     let err = proto::negotiate(ours, (900, 901)).unwrap_err();
     assert!(matches!(err, WireError::VersionUnsupported { offered: (900, 901), .. }));
+    // A version-1/2 peer, whose `StatsReply` layout this build no longer
+    // decodes, is refused at the handshake.
+    let err = proto::negotiate(ours, (1, 2)).unwrap_err();
+    assert!(matches!(err, WireError::VersionUnsupported { offered: (1, 2), .. }));
     // An inverted range is invalid before negotiation even starts.
     let hello = proto::encode_hello(5, 2);
     assert!(matches!(proto::decode_hello(&hello), Err(WireError::Invalid { .. })));

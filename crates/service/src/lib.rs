@@ -14,13 +14,12 @@
 //!   [`SnapshotSource`](quicksel_data::SnapshotSource) learner (QuickSel
 //!   in practice): [`snapshot`](SelectivityService::snapshot) /
 //!   [`estimate`](SelectivityService::estimate) on the lock-free read
-//!   path, validated batch ingestion + fallible retraining + atomic
-//!   publish on the write path, and an optional background ingestion
-//!   thread ([`SelectivityService::start_ingest`]).
+//!   path, and validated batch ingestion + fallible retraining + atomic
+//!   publish on the one write path,
+//!   [`observe_batch`](SelectivityService::observe_batch).
 //! * [`ShardedService`] — N services over one domain with deterministic
 //!   predicate-hash feedback routing: one writer per shard, zero
-//!   cross-shard write contention, explicit per-shard backpressure
-//!   ([`ShardedIngest::try_observe`]), and one routed read path,
+//!   cross-shard write contention, and one routed read path,
 //!   [`ShardedService::estimate_many`] (owning shard, or a cross-shard
 //!   blend for wide probes).
 //! * [`EstimatorRegistry`] — `TableId -> ShardedService`: one sharded
@@ -88,11 +87,8 @@ pub use rate::{RateMeter, RATE_WINDOW_SECS};
 pub use registry::{
     EstimatorRegistry, RecoveryReport, RegistryStats, ReplicationGauges, ReplicationStats,
 };
-pub use service::{
-    HealthState, IngestHandle, IngestRejection, SelectivityService, ServiceStats, ShardRecovery,
-    SharedSnapshot,
-};
-pub use shard::{ShardRejection, ShardedIngest, ShardedService, ShardedStats, BLEND_THRESHOLD};
+pub use service::{HealthState, SelectivityService, ServiceStats, ShardRecovery, SharedSnapshot};
+pub use shard::{ShardedService, ShardedStats, BLEND_THRESHOLD};
 pub use swap::ArcCell;
 
 /// A registry over boxed heterogeneous learners: any mix of

@@ -1,18 +1,19 @@
 //! [`RateMeter`]: a lock-free sliding-window event-rate gauge.
 //!
-//! Admission control needs backpressure expressed as a *rate* — "this
-//! table ingests 40k rows/s", not "the reject counter is at 1.2M" — and
-//! dashboards need the same number. Cumulative counters can't provide
-//! it without the reader keeping history, so the serving layer meters
-//! its hot paths through this gauge: a ring of per-second buckets
-//! updated with relaxed atomics (no locks, no allocation, a handful of
-//! nanoseconds per `record`), read back as events-per-second over the
-//! trailing [`RATE_WINDOW_SECS`]-second window.
+//! Operators size a table by a *rate* — "this table ingests 40k
+//! rows/s", not "the ingest counter is at 1.2M". Cumulative counters
+//! can't provide it without the reader keeping history, so the serving
+//! layer meters its hot paths through this gauge: a ring of per-second
+//! buckets updated with relaxed atomics (no locks, no allocation, a
+//! handful of nanoseconds per `record`), read back as events-per-second
+//! over the trailing [`RATE_WINDOW_SECS`]-second window. The readouts
+//! are reported through `Stats` only; admission control (the server's
+//! token buckets and estimate gate) reads none of them.
 //!
 //! The gauge is deliberately approximate at bucket boundaries: two
 //! threads racing a second rollover may land a few events in the wrong
 //! bucket. That skews a rate readout by at most one bucket's worth of
-//! smear — irrelevant for admission decisions — in exchange for keeping
+//! smear — irrelevant for a dashboard — in exchange for keeping
 //! `record` off every lock. Counters that feed *correctness* (ingested
 //! rows, versions) stay exact and separate.
 

@@ -129,8 +129,6 @@ pub struct RegistryStats {
     pub shards: usize,
     /// Ingestion counters summed over every shard of every table.
     pub total: ServiceStats,
-    /// Queue-full rejects summed over every shard of every table.
-    pub backpressure_rejects: u64,
     /// Estimates requested for unregistered tables (answered `1.0`).
     pub missing_table_probes: u64,
     /// Feedback observations dropped because their table is unregistered.
@@ -330,7 +328,6 @@ impl<L: SnapshotSource> EstimatorRegistry<L> {
         for (_, t) in &per_table {
             stats.shards += t.per_shard.len();
             stats.total = stats.total.merge(t.total);
-            stats.backpressure_rejects += t.backpressure_total();
         }
         stats.per_table = per_table;
         stats
@@ -622,7 +619,6 @@ mod tests {
         assert_eq!(stats.tables, 2);
         assert_eq!(stats.shards, 4);
         assert_eq!(stats.total.queries_ingested, 6);
-        assert_eq!(stats.backpressure_rejects, 0);
         assert_eq!(stats.per_table.len(), 2);
         assert_eq!(stats.per_table[0].0, orders);
         assert_eq!(stats.per_table[0].1.total.queries_ingested, 6);

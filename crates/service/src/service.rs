@@ -10,9 +10,7 @@ use quicksel_geometry::Rect;
 use quicksel_persist::{DurabilityOptions, PersistError, PersistLearner, ShardDurability};
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering::SeqCst};
-use std::sync::mpsc::{self, Receiver, SyncSender, TrySendError};
 use std::sync::{Arc, Mutex, MutexGuard};
-use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 /// A shared, immutable model view; what [`SelectivityService::snapshot`]
@@ -42,11 +40,11 @@ pub enum HealthState {
     Degraded,
 }
 
-/// Running counters describing a service's ingestion history, plus the
-/// rate/queue-depth gauges admission control and dashboards read
-/// (windowed over the trailing [`RATE_WINDOW_SECS`](crate::rate::RATE_WINDOW_SECS)
-/// seconds — a *number per second*, not a cumulative count, which is
-/// what backpressure decisions need).
+/// Running counters describing a service's ingestion history, plus rate
+/// gauges windowed over the trailing
+/// [`RATE_WINDOW_SECS`](crate::rate::RATE_WINDOW_SECS) seconds (a
+/// *number per second*, not a cumulative count). Admission control reads
+/// none of them: they are reported through `Stats` only.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct ServiceStats {
     /// Feedback batches successfully ingested.
@@ -78,12 +76,9 @@ pub struct ServiceStats {
     pub ingest_rows_per_s: f64,
     /// Predicate rectangles *evaluated* per second over the trailing
     /// rate window (gauge). Counts model evaluations, so a cross-shard
-    /// blend counts once per shard it touches — this is a work rate,
-    /// the number admission control compares against capacity.
+    /// blend counts once per shard it touches: a work rate, reported
+    /// through `Stats` only.
     pub estimate_rects_per_s: f64,
-    /// Feedback batches currently queued behind this service's
-    /// background ingest worker (gauge; 0 when no worker is attached).
-    pub ingest_queue_depth: u64,
     /// Feedback-history entries evicted (merged away) by the learner's
     /// history budget over its lifetime (0 for unbounded or
     /// non-tracking learners).
@@ -127,7 +122,6 @@ impl ServiceStats {
             persist_failures: self.persist_failures + other.persist_failures,
             ingest_rows_per_s: self.ingest_rows_per_s + other.ingest_rows_per_s,
             estimate_rects_per_s: self.estimate_rects_per_s + other.estimate_rects_per_s,
-            ingest_queue_depth: self.ingest_queue_depth + other.ingest_queue_depth,
             evicted_rows: self.evicted_rows + other.evicted_rows,
             drift_resamples: self.drift_resamples + other.drift_resamples,
             history_len: self.history_len + other.history_len,
@@ -191,11 +185,6 @@ pub struct SelectivityService<L: SnapshotSource> {
     persist_failures: AtomicU64,
     ingest_rate: RateMeter,
     estimate_rate: RateMeter,
-    /// Batches enqueued to the background ingest worker but not yet
-    /// applied. Shared with the [`IngestHandle`] (which increments
-    /// before enqueueing) and the worker (which decrements after each
-    /// batch), so the gauge never transiently underflows.
-    ingest_queue_depth: Arc<AtomicU64>,
     /// Learner-derived gauges mirrored into atomics at publish time (the
     /// only moment the learner lock is held anyway), so `stats()` stays
     /// lock-free.
@@ -305,7 +294,6 @@ impl<L: SnapshotSource> SelectivityService<L> {
             persist_failures: AtomicU64::new(0),
             ingest_rate: RateMeter::new(),
             estimate_rate: RateMeter::new(),
-            ingest_queue_depth: Arc::new(AtomicU64::new(0)),
             evicted_rows: AtomicU64::new(evicted),
             drift_resamples: AtomicU64::new(resamples),
             history_len: AtomicU64::new(history),
@@ -375,7 +363,6 @@ impl<L: SnapshotSource> SelectivityService<L> {
             persist_failures: self.persist_failures.load(SeqCst),
             ingest_rows_per_s: self.ingest_rate.per_second(),
             estimate_rects_per_s: self.estimate_rate.per_second(),
-            ingest_queue_depth: self.ingest_queue_depth.load(SeqCst),
             evicted_rows: self.evicted_rows.load(SeqCst),
             drift_resamples: self.drift_resamples.load(SeqCst),
             history_len: self.history_len.load(SeqCst),
@@ -766,118 +753,6 @@ impl<L: SnapshotSource + PersistLearner> SelectivityService<L> {
     }
 }
 
-/// Why [`IngestHandle::try_send`] bounced a batch. The two causes need
-/// different reactions — a full queue is *backpressure* (retry, shed, or
-/// grow the queue), a stopped worker is *shutdown* (re-route or flush
-/// synchronously) — so they are never conflated.
-#[derive(Debug)]
-pub enum IngestRejection {
-    /// The bounded queue is full; the batch is returned untouched.
-    QueueFull(Vec<ObservedQuery>),
-    /// The worker has been shut down (or died); the batch is returned.
-    Stopped(Vec<ObservedQuery>),
-}
-
-impl IngestRejection {
-    /// The bounced batch, whatever the cause.
-    pub fn into_batch(self) -> Vec<ObservedQuery> {
-        match self {
-            IngestRejection::QueueFull(b) | IngestRejection::Stopped(b) => b,
-        }
-    }
-
-    /// True when the cause was a full queue (backpressure, not shutdown).
-    pub fn is_queue_full(&self) -> bool {
-        matches!(self, IngestRejection::QueueFull(_))
-    }
-}
-
-/// Handle to a background ingestion worker; see
-/// [`SelectivityService::start_ingest`]. Dropping the handle shuts the
-/// worker down after it drains queued batches.
-pub struct IngestHandle {
-    tx: Option<SyncSender<Vec<ObservedQuery>>>,
-    worker: Option<JoinHandle<()>>,
-    /// Mirrors the service's `ingest_queue_depth` gauge. Incremented
-    /// *before* each enqueue (and rolled back on failure) so the reader
-    /// side can never observe a decrement racing ahead of its increment.
-    depth: Arc<AtomicU64>,
-}
-
-impl IngestHandle {
-    /// Queues a feedback batch for background ingestion; blocks only when
-    /// the bounded queue is full. Returns the batch back if the worker
-    /// has been shut down or died, so feedback is never silently lost.
-    pub fn send(&self, batch: Vec<ObservedQuery>) -> Result<(), Vec<ObservedQuery>> {
-        match &self.tx {
-            Some(tx) => {
-                self.depth.fetch_add(1, SeqCst);
-                tx.send(batch).map_err(|e| {
-                    self.depth.fetch_sub(1, SeqCst);
-                    e.0
-                })
-            }
-            None => Err(batch),
-        }
-    }
-
-    /// Queues a batch without blocking; bounces it back as an
-    /// [`IngestRejection`] that says *why* (queue full vs worker
-    /// stopped).
-    pub fn try_send(&self, batch: Vec<ObservedQuery>) -> Result<(), IngestRejection> {
-        match &self.tx {
-            Some(tx) => {
-                self.depth.fetch_add(1, SeqCst);
-                tx.try_send(batch).map_err(|e| {
-                    self.depth.fetch_sub(1, SeqCst);
-                    match e {
-                        TrySendError::Full(b) => IngestRejection::QueueFull(b),
-                        TrySendError::Disconnected(b) => IngestRejection::Stopped(b),
-                    }
-                })
-            }
-            None => Err(IngestRejection::Stopped(batch)),
-        }
-    }
-
-    /// Stops the worker after it drains queued batches, waiting for it to
-    /// finish. Also called on drop.
-    pub fn shutdown(&mut self) {
-        self.tx = None; // disconnects the channel; the worker drains + exits
-        if let Some(worker) = self.worker.take() {
-            let _ = worker.join();
-        }
-    }
-}
-
-impl Drop for IngestHandle {
-    fn drop(&mut self) {
-        self.shutdown();
-    }
-}
-
-impl<L: SnapshotSource + Send + 'static> SelectivityService<L> {
-    /// Spawns a background thread that ingests feedback batches queued
-    /// through the returned [`IngestHandle`], retraining off the serving
-    /// threads entirely. `queue_depth` bounds the number of in-flight
-    /// batches. Ingestion errors are absorbed into
-    /// [`stats`](Self::stats) / [`Learn::last_error`](quicksel_data::Learn::last_error) — the previous
-    /// snapshot keeps serving.
-    pub fn start_ingest(self: &Arc<Self>, queue_depth: usize) -> IngestHandle {
-        let (tx, rx): (SyncSender<Vec<ObservedQuery>>, Receiver<Vec<ObservedQuery>>) =
-            mpsc::sync_channel(queue_depth.max(1));
-        let service = Arc::clone(self);
-        let depth = Arc::clone(&self.ingest_queue_depth);
-        let worker = std::thread::spawn(move || {
-            while let Ok(batch) = rx.recv() {
-                let _ = service.observe_batch(&batch);
-                service.ingest_queue_depth.fetch_sub(1, SeqCst);
-            }
-        });
-        IngestHandle { tx: Some(tx), worker: Some(worker), depth }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1016,52 +891,5 @@ mod tests {
         let s = plain.stats();
         assert_eq!(s.evicted_rows, 0);
         assert_eq!(s.history_len, 1);
-    }
-
-    #[test]
-    fn send_after_shutdown_returns_the_batch() {
-        let svc = Arc::new(service());
-        let mut handle = svc.start_ingest(4);
-        handle.send(vec![obs([(0.0, 5.0), (0.0, 5.0)], 0.5)]).expect("worker alive");
-        handle.shutdown();
-        let refused = handle.send(vec![obs([(1.0, 6.0), (1.0, 6.0)], 0.5)]);
-        assert!(refused.is_err(), "send after shutdown must return the batch");
-        assert_eq!(refused.unwrap_err().len(), 1);
-        assert_eq!(svc.stats().batches_ingested, 1);
-    }
-
-    #[test]
-    fn background_ingest_drains_and_publishes() {
-        let svc = Arc::new(service());
-        let mut handle = svc.start_ingest(8);
-        for i in 0..6 {
-            let lo = (i % 3) as f64;
-            handle.send(vec![obs([(lo, lo + 5.0), (0.0, 5.0)], 0.6)]).expect("worker alive");
-        }
-        handle.shutdown();
-        assert_eq!(svc.stats().batches_ingested, 6);
-        assert_eq!(svc.stats().queries_ingested, 6);
-        assert!(svc.version() >= 6);
-        svc.with_learner(|l| assert_eq!(l.observed_count(), 6));
-    }
-
-    #[test]
-    fn try_send_reports_full_queue() {
-        let svc = Arc::new(service());
-        // Stall the worker by locking the learner, then flood the queue.
-        let mut handle = {
-            let _guard = svc.learner.lock().unwrap();
-            let handle = svc.start_ingest(1);
-            let mut refused = None;
-            for _ in 0..64 {
-                if let Err(b) = handle.try_send(vec![obs([(0.0, 5.0), (0.0, 5.0)], 0.5)]) {
-                    refused = Some(b);
-                    break;
-                }
-            }
-            assert!(refused.is_some(), "bounded queue never refused");
-            handle
-        };
-        handle.shutdown();
     }
 }

@@ -21,14 +21,11 @@
 //! shards instead: a weighted average of per-shard estimates, weighted
 //! by how much feedback each shard has ingested.
 
-use crate::service::{
-    IngestHandle, SelectivityService, ServiceStats, ShardRecovery, SharedSnapshot,
-};
+use crate::service::{SelectivityService, ServiceStats, ShardRecovery, SharedSnapshot};
 use quicksel_data::{route_hash, EstimatorError, ObservedQuery, SnapshotSource, Table};
 use quicksel_geometry::{Domain, Rect};
 use quicksel_persist::{DurabilityOptions, PersistError, PersistLearner};
 use std::path::Path;
-use std::sync::atomic::{AtomicU64, Ordering::SeqCst};
 use std::sync::Arc;
 
 /// Fraction of the domain volume at or above which a probe is answered
@@ -48,18 +45,8 @@ const PAR_MIN_BATCH: usize = 64;
 pub struct ShardedStats {
     /// Ingestion counters of each shard, in shard order.
     pub per_shard: Vec<ServiceStats>,
-    /// Per-shard queue-full rejects from
-    /// [`ShardedIngest::try_observe`], in shard order.
-    pub backpressure: Vec<u64>,
     /// Element-wise sum over `per_shard`.
     pub total: ServiceStats,
-}
-
-impl ShardedStats {
-    /// Sum of all per-shard backpressure rejects.
-    pub fn backpressure_total(&self) -> u64 {
-        self.backpressure.iter().sum()
-    }
 }
 
 /// A feedback-partitioned bank of [`SelectivityService`] shards over one
@@ -73,8 +60,7 @@ impl ShardedStats {
 ///   splits a batch by owning shard and ingests each slice under that
 ///   shard's own writer mutex; independent callers touching different
 ///   shards never contend. For a dedicated writer thread per shard, use
-///   [`partition_batch`](Self::partition_batch) + [`shard`](Self::shard),
-///   or the background path [`start_ingest`](Self::start_ingest).
+///   [`partition_batch`](Self::partition_batch) + [`shard`](Self::shard).
 /// * **Reads** stay lock-free: [`estimate_many`](Self::estimate_many)
 ///   loads the owning shard's snapshot (or blends all shards for very
 ///   wide probes — see the module docs).
@@ -82,7 +68,6 @@ pub struct ShardedService<L: SnapshotSource> {
     domain: Domain,
     full_volume: f64,
     shards: Vec<Arc<SelectivityService<L>>>,
-    backpressure: Vec<AtomicU64>,
 }
 
 impl<L: SnapshotSource> ShardedService<L> {
@@ -100,7 +85,6 @@ impl<L: SnapshotSource> ShardedService<L> {
             shards: (0..shards)
                 .map(|i| Arc::new(SelectivityService::new(make_learner(i))))
                 .collect(),
-            backpressure: (0..shards).map(|_| AtomicU64::new(0)).collect(),
         }
     }
 
@@ -130,9 +114,7 @@ impl<L: SnapshotSource> ShardedService<L> {
 
     /// Splits a batch into per-shard slices by owning shard; slice `i`
     /// holds exactly the observations [`shard_for`](Self::shard_for)
-    /// routes to shard `i`, in input order. Clones each observation; on
-    /// paths that own the batch, prefer the allocation-free
-    /// [`partition_batch_owned`](Self::partition_batch_owned).
+    /// routes to shard `i`, in input order.
     pub fn partition_batch(&self, batch: &[ObservedQuery]) -> Vec<Vec<ObservedQuery>> {
         let mut parts = vec![Vec::new(); self.shards.len()];
         for q in batch {
@@ -141,22 +123,12 @@ impl<L: SnapshotSource> ShardedService<L> {
         parts
     }
 
-    /// [`partition_batch`](Self::partition_batch) for an owned batch:
-    /// observations are *moved* into their shard's slice, so the hot
-    /// ingest path never re-allocates a rectangle.
-    pub fn partition_batch_owned(&self, batch: Vec<ObservedQuery>) -> Vec<Vec<ObservedQuery>> {
-        let mut parts = vec![Vec::new(); self.shards.len()];
-        for q in batch {
-            parts[self.shard_for(&q.rect)].push(q);
-        }
-        parts
-    }
-
     /// Routes a batch to its owning shards and ingests each slice
-    /// (retrain + publish per shard). Returns the first per-shard error;
-    /// slices routed to other shards may still have been ingested —
-    /// shards are isolated by design, and per-shard outcomes are visible
-    /// in [`stats`](Self::stats).
+    /// (retrain + publish per shard). A degraded target shard refuses the
+    /// whole batch before any shard ingests. Past that gate, returns the
+    /// first per-shard error; slices routed to other shards may still
+    /// have been ingested — shards are isolated by design, and per-shard
+    /// outcomes are visible in [`stats`](Self::stats).
     pub fn observe_batch(&self, batch: &[ObservedQuery]) -> Result<(), EstimatorError> {
         if batch.is_empty() {
             return Ok(());
@@ -363,11 +335,7 @@ impl<L: SnapshotSource> ShardedService<L> {
     pub fn stats(&self) -> ShardedStats {
         let per_shard: Vec<ServiceStats> = self.shards.iter().map(|s| s.stats()).collect();
         let total = per_shard.iter().fold(ServiceStats::default(), |a, &b| a.merge(b));
-        ShardedStats {
-            per_shard,
-            backpressure: self.backpressure.iter().map(|b| b.load(SeqCst)).collect(),
-            total,
-        }
+        ShardedStats { per_shard, total }
     }
 }
 
@@ -405,13 +373,7 @@ impl<L: SnapshotSource + PersistLearner> ShardedService<L> {
             recovery = recovery.merge(rec);
             services.push(Arc::new(svc));
         }
-        let service = Self {
-            domain,
-            full_volume,
-            shards: services,
-            backpressure: (0..shards).map(|_| AtomicU64::new(0)).collect(),
-        };
-        Ok((service, recovery))
+        Ok((Self { domain, full_volume, shards: services }, recovery))
     }
 
     /// Forces a checkpoint on every durable shard; returns true when at
@@ -422,23 +384,6 @@ impl<L: SnapshotSource + PersistLearner> ShardedService<L> {
             any |= shard.checkpoint_now()?;
         }
         Ok(any)
-    }
-}
-
-impl<L: SnapshotSource + Send + 'static> ShardedService<L> {
-    /// Spawns one background ingestion worker per shard (each with a
-    /// bounded queue of `queue_depth` batches) and returns the routing
-    /// handle. This is the multi-writer ingest path: N shard workers
-    /// retrain concurrently, and the caller never blocks on a writer
-    /// mutex — only on a full queue, and [`ShardedIngest::try_observe`]
-    /// turns even that into an explicit backpressure signal.
-    pub fn start_ingest(self: &Arc<Self>, queue_depth: usize) -> ShardedIngest<L> {
-        let handles = self.shards.iter().map(|s| s.start_ingest(queue_depth)).collect();
-        ShardedIngest { service: Arc::clone(self), handles }
-    }
-
-    fn note_backpressure(&self, shard: usize) {
-        self.backpressure[shard].fetch_add(1, SeqCst);
     }
 }
 
@@ -465,92 +410,6 @@ fn gather_groups(rects: &[Rect], groups: &[(&SharedSnapshot, &[usize])]) -> Vec<
         }
     }
     estimates
-}
-
-/// A batch bounced by [`ShardedIngest::try_observe`] because a shard's
-/// queue was full (or its worker had stopped).
-#[derive(Debug)]
-pub struct ShardRejection {
-    /// The shard whose queue refused the slice.
-    pub shard: usize,
-    /// True when the cause was a full queue (genuine backpressure, and
-    /// counted as such in the service's per-shard stats); false when the
-    /// shard's worker has stopped.
-    pub queue_full: bool,
-    /// The observations that were not enqueued, in input order.
-    pub batch: Vec<ObservedQuery>,
-}
-
-/// Routing front-end over one background ingestion worker per shard;
-/// created by [`ShardedService::start_ingest`]. Dropping it shuts every
-/// worker down after their queues drain.
-pub struct ShardedIngest<L: SnapshotSource + Send + 'static> {
-    service: Arc<ShardedService<L>>,
-    handles: Vec<IngestHandle>,
-}
-
-impl<L: SnapshotSource + Send + 'static> ShardedIngest<L> {
-    /// Queues a batch for background ingestion, split by owning shard.
-    /// Blocks while a shard's queue is full. Returns the slices whose
-    /// worker has stopped (shutdown or died), so feedback is never
-    /// silently lost.
-    pub fn observe(&self, batch: Vec<ObservedQuery>) -> Result<(), Vec<ShardRejection>> {
-        let mut rejected = Vec::new();
-        for (shard, part) in self.service.partition_batch_owned(batch).into_iter().enumerate() {
-            if part.is_empty() {
-                continue;
-            }
-            if let Err(bounced) = self.handles[shard].send(part) {
-                rejected.push(ShardRejection { shard, queue_full: false, batch: bounced });
-            }
-        }
-        if rejected.is_empty() {
-            Ok(())
-        } else {
-            Err(rejected)
-        }
-    }
-
-    /// Queues a batch without blocking. Slices whose shard queue is full
-    /// are returned as [`ShardRejection`]s (with
-    /// [`queue_full`](ShardRejection::queue_full) set) and counted in the
-    /// service's per-shard backpressure stats; slices whose worker has
-    /// stopped are returned without polluting the backpressure counters.
-    /// The caller decides whether to retry, drop, or spill — nothing
-    /// blocks and nothing disappears silently.
-    pub fn try_observe(&self, batch: Vec<ObservedQuery>) -> Result<(), Vec<ShardRejection>> {
-        let mut rejected = Vec::new();
-        for (shard, part) in self.service.partition_batch_owned(batch).into_iter().enumerate() {
-            if part.is_empty() {
-                continue;
-            }
-            if let Err(bounced) = self.handles[shard].try_send(part) {
-                let queue_full = bounced.is_queue_full();
-                if queue_full {
-                    self.service.note_backpressure(shard);
-                }
-                rejected.push(ShardRejection { shard, queue_full, batch: bounced.into_batch() });
-            }
-        }
-        if rejected.is_empty() {
-            Ok(())
-        } else {
-            Err(rejected)
-        }
-    }
-
-    /// The sharded service this handle feeds.
-    pub fn service(&self) -> &Arc<ShardedService<L>> {
-        &self.service
-    }
-
-    /// Stops every shard worker after it drains its queue, waiting for
-    /// them to finish. Also called on drop.
-    pub fn shutdown(&mut self) {
-        for h in &mut self.handles {
-            h.shutdown();
-        }
-    }
 }
 
 #[cfg(test)]
@@ -676,73 +535,8 @@ mod tests {
         let stats = svc.stats();
         assert_eq!(stats.total.queries_ingested, 9);
         assert_eq!(stats.per_shard.len(), 3);
-        assert_eq!(stats.backpressure, vec![0, 0, 0]);
         // Every shard that received feedback published a new version.
         let touched = stats.per_shard.iter().filter(|s| s.batches_ingested > 0).count() as u64;
         assert_eq!(svc.version(), touched);
-    }
-
-    #[test]
-    fn try_observe_reports_per_shard_backpressure() {
-        use std::sync::mpsc;
-        let svc = Arc::new(sharded(2));
-        // Stall both shards by parking a thread inside each learner mutex
-        // (via `with_learner`), then flood the 1-deep worker queues until
-        // try_observe bounces with an explicit per-shard rejection.
-        let mut stallers = Vec::new();
-        let mut releases = Vec::new();
-        for i in 0..2 {
-            let (locked_tx, locked_rx) = mpsc::channel();
-            let (release_tx, release_rx) = mpsc::channel::<()>();
-            let shard = Arc::clone(svc.shard(i));
-            stallers.push(std::thread::spawn(move || {
-                shard.with_learner(|_| {
-                    locked_tx.send(()).unwrap();
-                    let _ = release_rx.recv();
-                })
-            }));
-            locked_rx.recv().expect("staller locked its shard");
-            releases.push(release_tx);
-        }
-
-        let mut ingest = svc.start_ingest(1);
-        let mut saw_rejection = false;
-        for i in 0..128 {
-            let lo = (i % 8) as f64;
-            let batch = vec![obs([(lo, lo + 1.0), (lo, lo + 1.0)], 0.5)];
-            if let Err(rejected) = ingest.try_observe(batch) {
-                assert!(!rejected.is_empty());
-                for r in &rejected {
-                    assert!(r.shard < 2);
-                    assert!(r.queue_full, "live worker rejections are queue-full backpressure");
-                    assert_eq!(r.batch.len(), 1, "bounced slice returned intact");
-                }
-                saw_rejection = true;
-                break;
-            }
-        }
-        assert!(saw_rejection, "bounded shard queues never refused");
-        assert!(svc.stats().backpressure_total() >= 1);
-
-        for tx in releases {
-            let _ = tx.send(());
-        }
-        for s in stallers {
-            s.join().unwrap();
-        }
-        ingest.shutdown();
-        // Everything that was accepted (not bounced) was eventually
-        // ingested: accepted batches = ingested batches.
-        let stats = svc.stats();
-        assert!(stats.total.batches_ingested >= 1);
-
-        // Stopped workers are NOT backpressure: sends after shutdown
-        // bounce as `queue_full: false` and leave the counters alone.
-        let backpressure_before = svc.stats().backpressure_total();
-        let refused = ingest
-            .try_observe(vec![obs([(0.5, 1.5), (0.5, 1.5)], 0.5)])
-            .expect_err("workers are stopped");
-        assert!(refused.iter().all(|r| !r.queue_full), "shutdown misread as backpressure");
-        assert_eq!(svc.stats().backpressure_total(), backpressure_before);
     }
 }

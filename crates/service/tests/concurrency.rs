@@ -360,41 +360,3 @@ fn sharded_estimate_many_is_coherent_under_concurrent_ingest() {
         assert_eq!(e, svc.estimate(r));
     }
 }
-
-/// Background ingestion feeds the same pipeline: queued batches land in
-/// the learner, and readers stay lock-free throughout.
-#[test]
-fn background_ingestion_with_concurrent_readers() {
-    let service = Arc::new(SelectivityService::new(
-        QuickSel::builder(domain()).refine_policy(RefinePolicy::Manual).build(),
-    ));
-    let stop = Arc::new(AtomicBool::new(false));
-    let reader = {
-        let service = Arc::clone(&service);
-        let stop = Arc::clone(&stop);
-        thread::spawn(move || {
-            let probe = Rect::from_bounds(&[(2.0, 6.0), (2.0, 6.0)]);
-            while !stop.load(Ordering::Relaxed) {
-                let e = service.estimate(&probe);
-                assert!((0.0..=1.0).contains(&e));
-            }
-        })
-    };
-
-    let mut handle = service.start_ingest(16);
-    for i in 0..25 {
-        let lo = (i % 5) as f64;
-        handle
-            .send(vec![ObservedQuery::new(
-                Rect::from_bounds(&[(lo, lo + 3.0), (lo, lo + 3.0)]),
-                0.5,
-            )])
-            .expect("ingest worker alive");
-    }
-    handle.shutdown();
-    stop.store(true, Ordering::Relaxed);
-    reader.join().expect("reader panicked");
-
-    assert_eq!(service.stats().batches_ingested, 25);
-    service.with_learner(|l| assert_eq!(l.observed_count(), 25));
-}

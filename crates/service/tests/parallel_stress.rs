@@ -1,11 +1,11 @@
 //! Oversubscription stress: many OS threads hammer the workspace pool
-//! through the sharded read path while background ingest workers train
-//! (and therefore fan training kernels onto the pool) concurrently.
+//! through the sharded read path while a writer thread trains (and
+//! therefore fans training kernels onto the pool) concurrently.
 //!
 //! The property under test is liveness, not numbers: the pool's
 //! help-while-waiting scopes must drain under arbitrary oversubscription
-//! — `std::thread::scope` callers stacked on a 2-thread pool, nested
-//! pool use from the service's own ingest threads — without deadlock.
+//! — `std::thread::scope` callers stacked on a 2-thread pool, training
+//! on the global pool from the writer thread — without deadlock.
 //! (The test would hang, and the harness time out, if they could.)
 
 use quicksel_core::{QuickSel, RefinePolicy};
@@ -47,9 +47,9 @@ fn wide_probes() -> Vec<Rect> {
 #[test]
 fn oversubscribed_scope_callers_and_ingest_threads_make_progress() {
     // Force a multi-threaded *global* pool before first use, so the
-    // service's background ingest threads (which train through
-    // `quicksel_parallel::current()` → global) genuinely share workers
-    // with the reader fan-outs below, whatever the host's core count.
+    // writer thread (which trains through `quicksel_parallel::current()`
+    // → global) genuinely shares workers with the reader fan-outs below,
+    // whatever the host's core count.
     quicksel_parallel::set_global_threads(3);
     assert!(quicksel_parallel::global().threads() >= 1);
 
@@ -61,12 +61,11 @@ fn oversubscribed_scope_callers_and_ingest_threads_make_progress() {
             .seed(17 + i as u64)
             .build()
     }));
-    let mut ingest = svc.start_ingest(4);
     let wides = wide_probes();
     assert!(wides.iter().all(|w| svc.spans_partitions(w)));
 
-    // Background feedback: keeps both shard workers retraining (QP
-    // assembly + Cholesky on the global pool) for the whole test.
+    // Feedback for the writer thread: keeps both shards retraining (QP
+    // assembly + Cholesky on the global pool) while the readers run.
     let feedback: Vec<Vec<ObservedQuery>> = (0..24)
         .map(|b| {
             (0..6)
@@ -83,8 +82,9 @@ fn oversubscribed_scope_callers_and_ingest_threads_make_progress() {
 
     // Reader side: OS threads × a deliberately tiny shared pool, nested
     // under `std::thread::scope` — 8 scope callers contending for 2
-    // pool threads while ingest churns.
+    // pool threads while the writer trains.
     let reader_pool = ThreadPool::new(2);
+    let rows: usize = feedback.iter().map(Vec::len).sum();
     std::thread::scope(|scope| {
         for t in 0..OS_THREADS {
             let svc = Arc::clone(&svc);
@@ -101,16 +101,16 @@ fn oversubscribed_scope_callers_and_ingest_threads_make_progress() {
                 }
             });
         }
-        // Feed while the readers hammer; blocking `observe` exercises
-        // queue backpressure against live workers.
-        for batch in feedback {
-            let _ = ingest.observe(batch);
-        }
+        let svc = &svc;
+        scope.spawn(move || {
+            for batch in &feedback {
+                svc.observe_batch(batch).expect("feedback batch refused");
+            }
+        });
     });
-    ingest.shutdown();
 
     let stats = svc.stats();
-    assert!(stats.total.queries_ingested > 0, "ingest made no progress");
+    assert_eq!(stats.total.queries_ingested, rows as u64, "acknowledged feedback lost");
 
     // Batched answers at a now-quiescent version equal per-rect answers.
     let batch = probes(7);

@@ -23,7 +23,7 @@ use quicksel::fault::FaultPlan;
 use quicksel::net::{serve, RetryCause, ServerConfig};
 use quicksel::prelude::*;
 use quicksel::service::HealthState;
-use quicksel::{ClientError, DurabilityOptions, NetClient, SelectivityService};
+use quicksel::{ClientError, DurabilityOptions, NetClient, SelectivityService, ShardedService};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -142,6 +142,50 @@ fn wal_append_failure_is_refused_not_silently_lost() {
     assert!(service.stats().degraded_refusals >= 1);
     let after: Vec<f64> = probes().iter().map(|r| service.estimate(r)).collect();
     assert_eq!(baseline, after, "reads must be untouched by the degraded episode");
+}
+
+/// The sharded write path refuses all or nothing: every target shard's
+/// health gate runs before any shard ingests, so a batch with rows for a
+/// healthy shard and a degraded one is refused whole — the healthy shard
+/// ingests none of it and logs nothing.
+#[test]
+fn sharded_batch_spanning_a_degraded_shard_is_refused_whole() {
+    let open = |dir: &Path, fault: FaultPlan| {
+        let mut options = opts(1_000_000);
+        options.fault = fault;
+        options.degrade_after = 3;
+        // No re-arm probe may heal the shard mid-test.
+        options.probe_backoff = Duration::from_secs(60);
+        let make = |i: usize| learner(20 + i as u64);
+        ShardedService::open_durable(domain(), 2, dir, options, make).expect("open").0
+    };
+    // The plan's op index is global across shards: count what opening
+    // the bank takes, then fail the next three ops — the appends routed
+    // to shard 1.
+    let counting = Scratch::new("sharded-count");
+    let plan = FaultPlan::count_only();
+    drop(open(counting.path(), plan.clone()));
+    let scratch = Scratch::new("sharded");
+    let svc = open(scratch.path(), FaultPlan::window(17, plan.ops_seen(), 3));
+
+    let rows: Vec<ObservedQuery> = (0..8).flat_map(batch).collect();
+    let row_for = |shard: usize| {
+        rows.iter().find(|q| svc.shard_for(&q.rect) == shard).cloned().expect("a row per shard")
+    };
+    let (healthy, tripped) = (row_for(0), row_for(1));
+    for i in 0..3 {
+        let err = svc.observe(&tripped).expect_err("append fails, batch refused");
+        assert!(matches!(err, EstimatorError::PersistRefused), "failure {i}: {err:?}");
+    }
+    assert_eq!(svc.shard(1).health(), HealthState::Degraded);
+    assert_eq!(svc.shard(0).health(), HealthState::Healthy);
+
+    let err = svc.observe_batch(&[healthy, tripped]).expect_err("spanning batch refused");
+    assert!(matches!(err, EstimatorError::Degraded { .. }), "{err:?}");
+    let stats = svc.stats();
+    assert_eq!(stats.per_shard[0].batches_ingested, 0, "healthy shard ingested half a batch");
+    assert_eq!(stats.per_shard[0].persist_failures, 0, "healthy shard logged half a batch");
+    assert_eq!(stats.total.queries_ingested, 0);
 }
 
 /// A degraded shard re-enters service on its own once the store heals:
