@@ -85,8 +85,8 @@ fn median_secs(mut samples: Vec<f64>) -> f64 {
 /// Checkpoint write bandwidth at one subpopulation budget: state encode
 /// time, tmp+rename write time, and end-to-end MB/s (median of 5).
 fn bench_checkpoint_write(subpops: usize) -> String {
-    // Train enough feedback that the trainer caches (Gram, AᵀA) are at
-    // their steady-state size for this budget.
+    // Train enough feedback that the trainer state (factor, sparse A)
+    // is at its steady-state size for this budget.
     let mut est = learner(subpops);
     let n_batches = (subpops / 4).max(32) as u64;
     for i in 0..n_batches {

@@ -1,5 +1,5 @@
-//! Ablation study for QuickSel's design choices (not a paper figure; see
-//! DESIGN.md §2.1):
+//! Ablation study for QuickSel's design choices (not a paper figure; the
+//! README's "Training path" section describes the path they tune):
 //!
 //! * points per observed query (paper fixes 10, §3.3 step 1),
 //! * subpopulation overlap factor (the "slightly overlap" sizing rule),

@@ -44,10 +44,9 @@ fn main() {
     println!("assemble Q   {:>8.1} ms", t.elapsed().as_secs_f64() * 1e3);
 
     let t = Instant::now();
-    let (a, s) = grid.assemble_a(&queries);
+    let (a, sparse, s) = grid.assemble_a(&queries);
     println!("assemble A   {:>8.1} ms", t.elapsed().as_secs_f64() * 1e3);
-    let nnz = a.as_slice().iter().filter(|v| **v != 0.0).count();
-    println!("A nnz frac   {:>8.3}", nnz as f64 / (a.rows() * a.cols()) as f64);
+    println!("A nnz frac   {:>8.3}", sparse.nnz() as f64 / (a.rows() * a.cols()) as f64);
 
     let t = Instant::now();
     let gram = a.gram();
@@ -76,7 +75,7 @@ fn main() {
 
     // A warm refine's factor work: four new constraint rows fold into
     // the factor in place (one fused pass), then one re-solve.
-    let (new_a, _) = grid.assemble_a(&gen.take_queries(&table, 4));
+    let (new_a, _, _) = grid.assemble_a(&gen.take_queries(&table, 4));
     let mut factor = UpdatableCholesky::from_lower(f.into_lower()).expect("factor");
     let t = Instant::now();
     factor.update(&new_a.as_slice()[m..], 1e6);

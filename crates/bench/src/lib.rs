@@ -1,9 +1,10 @@
 //! Experiment harness for the QuickSel paper's evaluation (§5).
 //!
 //! Every table and figure of the paper has a dedicated binary in
-//! `src/bin/` (see DESIGN.md §4 for the index); this library holds the
-//! shared pieces: the method factory, the query-driven evaluation driver,
-//! dataset builders at experiment scale, and plain-text table output.
+//! `src/bin/` (the README's "Building and testing" section lists them);
+//! this library holds the shared pieces: the method factory, the
+//! query-driven evaluation driver, dataset builders at experiment scale,
+//! and plain-text table output.
 //!
 //! Absolute numbers will differ from the paper (different hardware,
 //! synthetic stand-ins for the proprietary datasets, single-threaded dense

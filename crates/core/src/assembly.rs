@@ -49,7 +49,7 @@
 
 use quicksel_data::ObservedQuery;
 use quicksel_geometry::Rect;
-use quicksel_linalg::{DMatrix, QpProblem};
+use quicksel_linalg::{CsrMatrix, DMatrix, QpProblem};
 use quicksel_parallel::SharedSlice;
 
 /// Tile edge for the symmetric mirror pass (upper → lower triangle).
@@ -95,9 +95,22 @@ pub struct GridScratch {
     tick: u32,
     /// Gathered candidate subpopulation indexes (deduplicated).
     cand: Vec<u32>,
+    /// The last constraint row's nonzero columns, ascending.
+    nz: Vec<u32>,
+    /// One bit per subpopulation, marking the nonzero columns of the row
+    /// being filled; all clear between rows.
+    nz_bits: Vec<u64>,
     clo: Vec<usize>,
     chi: Vec<usize>,
     cur: Vec<usize>,
+}
+
+impl GridScratch {
+    /// The nonzero columns, ascending, of the row the last
+    /// [`SubpopGrid::constraint_row_into`] call filled.
+    pub fn nonzeros(&self) -> &[u32] {
+        &self.nz
+    }
 }
 
 impl SubpopGrid {
@@ -239,6 +252,8 @@ impl SubpopGrid {
             stamp: vec![0; self.len],
             tick: 0,
             cand: Vec::with_capacity(64),
+            nz: Vec::with_capacity(64),
+            nz_bits: vec![0; self.len.div_ceil(64)],
             clo: vec![0; self.dim.max(1)],
             chi: vec![0; self.dim.max(1)],
             cur: vec![0; self.dim.max(1)],
@@ -379,7 +394,8 @@ impl SubpopGrid {
     /// Fills one `A` row (`A_j = |B∩G_j|/|G_j|`) for a predicate
     /// rectangle: zeroes the row, then writes only grid candidates. Wide
     /// rectangles covering most of the grid fall back to the dense scan
-    /// (same values, no gather overhead).
+    /// (same values, no gather overhead). The written columns are left,
+    /// ascending, in [`GridScratch::nonzeros`].
     pub fn constraint_row_into(&self, rect: &Rect, row: &mut [f64], scratch: &mut GridScratch) {
         assert_eq!(row.len(), self.len, "constraint row length must be m");
         assert!(
@@ -389,6 +405,7 @@ impl SubpopGrid {
             self.dim
         );
         row.fill(0.0);
+        scratch.nz.clear();
         if self.len == 0 {
             return;
         }
@@ -404,6 +421,7 @@ impl SubpopGrid {
                 let inter = self.rect_overlap(rect, j);
                 if inter > 0.0 {
                     *r = inter * self.inv_vol[j];
+                    scratch.nz.push(j as u32);
                 }
             }
             return;
@@ -414,13 +432,25 @@ impl SubpopGrid {
             let inter = self.rect_overlap(rect, j);
             if inter > 0.0 {
                 row[j] = inter * self.inv_vol[j];
+                scratch.nz_bits[j / 64] |= 1 << (j % 64);
+            }
+        }
+        // Candidates arrive in cell-visit order; reading the marks back
+        // word by word lists the columns ascending, and clears them.
+        for (w, word) in scratch.nz_bits.iter_mut().enumerate() {
+            let mut bits = std::mem::take(word);
+            while bits != 0 {
+                scratch.nz.push((w * 64) as u32 + bits.trailing_zeros());
+                bits &= bits - 1;
             }
         }
     }
 
     /// Assembles the constraint matrix `A` (row 0 the implicit `(B0, 1)`
-    /// all-ones row) and the observed-selectivity rhs `s`.
-    pub fn assemble_a(&self, queries: &[ObservedQuery]) -> (DMatrix, Vec<f64>) {
+    /// all-ones row), dense and as compressed sparse rows, and the
+    /// observed-selectivity rhs `s`. Each row's sparse form comes from
+    /// the columns its grid pass wrote, so nothing rescans the dense `A`.
+    pub fn assemble_a(&self, queries: &[ObservedQuery]) -> (DMatrix, CsrMatrix, Vec<f64>) {
         let m = self.len;
         let n = queries.len() + 1;
         let mut a = DMatrix::zeros(n, m);
@@ -429,27 +459,34 @@ impl SubpopGrid {
         s.push(1.0);
         let pool = quicksel_parallel::current();
         // Grid-pruned rows write disjoint slabs of A (row 0 is the
-        // implicit all-ones row, already written above).
+        // implicit all-ones row, already written above); each slab
+        // returns its rows' sparse form, appended in slab order.
         let pieces = pool.chunks_for(queries.len(), PAR_MIN_ROWS);
-        pool.scope_slabs(&mut a.as_mut_slice()[m..], m, pieces, |rows, slab| {
+        let slabs = pool.scope_slabs(&mut a.as_mut_slice()[m..], m, pieces, |rows, slab| {
             let mut scratch = self.scratch();
+            let mut part = CsrMatrix::new(m);
             for (k, qi) in rows.enumerate() {
-                self.constraint_row_into(
-                    &queries[qi].rect,
-                    &mut slab[k * m..(k + 1) * m],
-                    &mut scratch,
-                );
+                let row = &mut slab[k * m..(k + 1) * m];
+                self.constraint_row_into(&queries[qi].rect, row, &mut scratch);
+                part.push_gathered(scratch.nonzeros(), row);
             }
+            part
         });
+        let nnz = m + slabs.iter().map(CsrMatrix::nnz).sum::<usize>();
+        let mut sparse = CsrMatrix::with_capacity(m, n, nnz);
+        sparse.push_gathered(&(0..m as u32).collect::<Vec<_>>(), a.row(0));
+        for part in &slabs {
+            sparse.append(part);
+        }
         s.extend(queries.iter().map(|q| q.selectivity));
-        (a, s)
+        (a, sparse, s)
     }
 
     /// Assembles the whole training QP; the pruned equivalent of the
     /// naive [`build_qp`](crate::train::build_qp).
     pub fn assemble_qp(&self, queries: &[ObservedQuery]) -> QpProblem {
         let q = self.assemble_q();
-        let (a, s) = self.assemble_a(queries);
+        let (a, _, s) = self.assemble_a(queries);
         QpProblem::new(q, a, s).expect("assembled shapes are consistent by construction")
     }
 }

@@ -46,8 +46,8 @@ pub struct QuickSel {
     last_report: Option<TrainReport>,
     last_error: Option<EstimatorError>,
     version: u64,
-    /// Cached analytic-training state (assembled `Q`, `AᵀA`, Cholesky
-    /// factor). Present after a successful cold analytic refine; serves
+    /// Cached analytic-training state (Cholesky factor, sparse `A`,
+    /// `Aᵀs`). Present after a successful cold analytic refine; serves
     /// warm incremental refines while the subpopulation budget is
     /// unchanged.
     trainer: Option<IncrementalTrainer>,

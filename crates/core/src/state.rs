@@ -7,8 +7,10 @@
 //! *and* behave bit-identically on all future feedback. That means the
 //! capture cannot stop at the trained model — it must carry the RNG
 //! mid-stream state, the workload point pool, the observed-query history,
-//! and the trainer's cached `Q`/`AᵀA`/`Aᵀs`/Cholesky factor (so the first
-//! post-restore refine is a *warm* rank-k fold-in, not a cold rebuild).
+//! and the trainer's sparse `A`, `s`, `Aᵀs` and Cholesky factor (so the
+//! first post-restore refine is a *warm* in-place factor update, not a
+//! cold rebuild). `Q` and `AᵀA` are not captured: they are pure functions
+//! of the supports and of `A`.
 //!
 //! [`QuickSelState`] / [`TrainerState`] are dumb data: every field public,
 //! no invariants enforced at construction. Validation happens at
@@ -25,7 +27,7 @@
 use crate::config::QuickSelConfig;
 use quicksel_data::ObservedQuery;
 use quicksel_geometry::{Domain, Rect};
-use quicksel_linalg::DMatrix;
+use quicksel_linalg::{CsrMatrix, DMatrix};
 
 /// Why a state capture was rejected at restore time.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -49,44 +51,34 @@ impl std::fmt::Display for StateError {
 impl std::error::Error for StateError {}
 
 /// A complete capture of an [`IncrementalTrainer`](crate::IncrementalTrainer):
-/// the cached supports and assembled system. The subpopulation grid is
-/// *not* captured — it is rebuilt deterministically from `subpops` at
-/// restore time.
+/// the cached supports, the sparse constraint system and the factor.
+/// The subpopulation grid is *not* captured — it is rebuilt
+/// deterministically from `subpops` at restore time.
 #[derive(Debug, Clone)]
 pub struct TrainerState {
     /// Cached subpopulation supports.
     pub subpops: Vec<Rect>,
-    /// Assembled `Q` (m×m).
-    pub q: DMatrix,
-    /// Constraint matrix `A` (n×m, row 0 the implicit `(B0, 1)`).
-    pub a: DMatrix,
+    /// Constraint matrix `A` (n×m, row 0 the implicit `(B0, 1)`), as
+    /// compressed sparse rows.
+    pub a: CsrMatrix,
     /// Observed selectivities `s`, parallel to `A`'s rows.
     pub s: Vec<f64>,
-    /// Incrementally-maintained `AᵀA`.
-    pub gram: DMatrix,
     /// Incrementally-maintained `Aᵀs`.
     pub ats: Vec<f64>,
     /// Lower triangle of the cached Cholesky factor of `Q + λAᵀA + εI`.
     pub factor_lower: DMatrix,
-    /// Legacy Woodbury update scale: λ when positive, else 1.
-    pub solver_scale: f64,
-    /// Legacy Woodbury pending rows, flattened (`rank × m`). Always
-    /// empty in new captures, like the three fields below; a capture
-    /// that carries pending rows restores by one refactor of its
-    /// captured system.
-    pub pending_rows: Vec<f64>,
-    /// Legacy cached base-system solves of the pending rows.
-    pub pending_solved: Vec<f64>,
-    /// Legacy per-row update signs (±1).
-    pub pending_signs: Vec<f64>,
-    /// Legacy number of pending update rows.
-    pub pending_rank: usize,
     /// Penalty weight λ of the trained system.
     pub lambda: f64,
     /// Absolute ridge baked into the cached system at the cold build.
     pub ridge_abs: f64,
     /// Warm refines served since the cold build.
     pub warm_refines: usize,
+    /// True for a capture decoded from a format that carried Woodbury
+    /// pending rows (v1 or v2) and had some: `factor_lower` then lacks
+    /// those rows, so a restore refactors the system, assembled fresh.
+    /// Exports always set it false and the current format does not
+    /// store it, so restore such a capture before encoding it again.
+    pub legacy_pending_rows: bool,
 }
 
 /// A complete capture of a [`QuickSel`](crate::QuickSel) estimator.

@@ -5,11 +5,11 @@
 //! `train_throughput` bench's baseline) and the grid-pruned SoA path
 //! ([`build_qp_pruned`] / [`SubpopGrid`]) that [`train`] and the
 //! estimator use. On top of the cold path, [`IncrementalTrainer`] keeps
-//! the assembled `Q`, `AᵀA`, and the Cholesky factor cached between
-//! refines: when the subpopulation set is unchanged, a refine folds only
-//! the new queries' `A` rows into `AᵀA` and into the factor (in-place
-//! Givens updates) and solves with two triangular substitutions,
-//! skipping both the O(n·m²) Gram rebuild and the O(m³) factorization.
+//! the Cholesky factor and the sparse constraint matrix between refines:
+//! when the subpopulation set is unchanged, a refine folds only the new
+//! queries' `A` rows into the factor (in-place Givens updates) and solves
+//! with two triangular substitutions, skipping both the O(n·m²) Gram
+//! rebuild and the O(m³) factorization.
 
 use crate::assembly::SubpopGrid;
 use crate::config::TrainingMethod;
@@ -17,15 +17,10 @@ use crate::model::UniformMixtureModel;
 use crate::state::{StateError, TrainerState};
 use quicksel_data::ObservedQuery;
 use quicksel_geometry::{Domain, Rect};
-use quicksel_linalg::{solve_analytic, AdmmQp, DMatrix, LinalgError, QpProblem, UpdatableCholesky};
+use quicksel_linalg::{
+    solve_analytic, AdmmQp, CsrMatrix, DMatrix, LinalgError, QpProblem, UpdatableCholesky,
+};
 use std::time::{Duration, Instant};
-
-/// Minimum rank-k fold size `k·m` before the warm-refine gram update fans
-/// out on the workspace pool; below this the serial sweep wins.
-const PAR_MIN_FOLD: usize = 32 * 1024;
-
-/// Minimum gram rows per parallel chunk in the rank-k fold.
-const PAR_MIN_FOLD_ROWS: usize = 64;
 
 /// Diagnostics from one training run.
 #[derive(Debug, Clone)]
@@ -43,8 +38,8 @@ pub struct TrainReport {
     pub constraint_violation: f64,
     /// Iterations used (0 for the analytic path).
     pub iterations: usize,
-    /// True when this run reused the cached assembly (`Q`, `AᵀA`, and
-    /// the Cholesky factor) instead of rebuilding from scratch.
+    /// True when this run reused the cached factor and constraint matrix
+    /// instead of rebuilding from scratch.
     pub assembly_reused: bool,
     /// Constraint rows appended by this run — the rank of the
     /// incremental update on a warm refine, or the full constraint count
@@ -160,31 +155,31 @@ pub fn train(
     Ok((UniformMixtureModel::new(subpops, weights), report))
 }
 
-/// Analytic trainer with cached assembly for incremental refines.
+/// Analytic trainer with a cached factor for incremental refines.
 ///
 /// [`cold`](Self::cold) runs the full pruned assembly + factorization
-/// once and keeps `Q`, `A`, `AᵀA`, `Aᵀs`, and the factor. While the
-/// subpopulation set is unchanged, [`refine`](Self::refine) appends only
-/// the new queries' constraint rows `r`: each adds `λ·rᵀr` to the
+/// once and keeps what a refine cannot recompute cheaply: the factor of
+/// `Q + λAᵀA + εI`, `A` as compressed sparse rows, `s` and `Aᵀs`. While
+/// the subpopulation set is unchanged, [`refine`](Self::refine) appends
+/// only the new queries' constraint rows `r`: each adds `λ·rᵀr` to the
 /// system and folds into the factor as an in-place rank-1 update, and
-/// history compaction folds evicted rows back out as downdates. The
-/// system `Q + λAᵀA + εI` is refactored only where an update cannot
-/// apply: a downdate that fails, λ ≤ 0, or a restored capture that
-/// still carries Woodbury pending rows.
+/// history compaction folds evicted rows back out as downdates. `Q` and
+/// `AᵀA` are pure functions of the supports and of `A`, so they are not
+/// kept: where an update cannot apply (a downdate that fails, λ ≤ 0, or
+/// a restored capture that still carries Woodbury pending rows), the
+/// system is assembled fresh, `Q` from the grid and `AᵀA` from `A`, and
+/// refactored.
 ///
-/// The cache holds O(m²) state (three m×m matrices at `m = 4000` ≈
-/// 384 MB) plus the growing n×m constraint matrix; it trades memory for
-/// refine latency by design.
+/// The factor is the one m×m matrix held (128 MB at `m = 4000`), beside
+/// the growing sparse constraint matrix; it trades memory for refine
+/// latency by design.
 #[derive(Debug, Clone)]
 pub struct IncrementalTrainer {
     subpops: Vec<Rect>,
     grid: SubpopGrid,
-    q: DMatrix,
-    a: DMatrix,
+    a: CsrMatrix,
     s: Vec<f64>,
-    /// `AᵀA`, maintained by rank-1 updates as rows append.
-    gram: DMatrix,
-    /// `Aᵀs`, maintained alongside.
+    /// `Aᵀs`, maintained as rows append.
     ats: Vec<f64>,
     /// Cholesky factor of `Q + λAᵀA + εI`, updated in place.
     factor: UpdatableCholesky,
@@ -207,28 +202,32 @@ impl IncrementalTrainer {
         let m = subpops.len();
         let t0 = Instant::now();
         let grid = SubpopGrid::new(&subpops);
-        let q = grid.assemble_q();
-        let (a, s) = grid.assemble_a(queries);
-        let gram = a.gram();
+        let mut system = grid.assemble_q();
+        // The dense `A` exists only for the Gram kernel, which the sparse
+        // rows spare its scan for nonzeros.
+        let (dense_a, a, s) = grid.assemble_a(queries);
+        let gram = dense_a.gram_with_pattern(&a);
         let ats = a.t_matvec(&s);
         let assemble_time = t0.elapsed();
 
         let t1 = Instant::now();
-        // The absolute ridge is derived once here (from the cold
-        // system's trace, exactly like `solve_analytic`) and reused by
-        // every refactor, so all of this trainer's refines answer for
-        // one well-defined system `Q + λAᵀA + εI` — recomputing the
-        // trace-relative ridge as the Gram grows would silently switch
-        // systems between refactors. A cold rebuild re-derives it.
-        let mut system = Self::system_matrix(&q, &gram, lambda, 0.0);
+        // `Q + λAᵀA`, formed in `Q`'s buffer; the Gram product and the
+        // dense `A` are freed before the factorization. The absolute
+        // ridge is derived once here (from this system's trace, exactly
+        // like `solve_analytic`) and reused by every refactor, so all of
+        // this trainer's refines answer for one well-defined system
+        // `Q + λAᵀA + εI` — recomputing the trace-relative ridge as `A`
+        // grows would silently switch systems between refactors. A cold
+        // rebuild re-derives it.
+        system.add_scaled(lambda, &gram);
+        drop((gram, dense_a));
         let ridge_abs =
             if ridge_rel > 0.0 { system.trace() / m.max(1) as f64 * ridge_rel } else { 0.0 };
         if ridge_abs > 0.0 {
             system.add_diagonal(ridge_abs);
         }
         let factor = UpdatableCholesky::factor(system)?;
-        let trainer =
-            Self { subpops, grid, q, a, s, gram, ats, factor, lambda, ridge_abs, warm_refines: 0 };
+        let trainer = Self { subpops, grid, a, s, ats, factor, lambda, ridge_abs, warm_refines: 0 };
         let weights = trainer.solve_weights();
         let solve_time = t1.elapsed();
 
@@ -248,17 +247,21 @@ impl IncrementalTrainer {
         Ok((trainer, model, report))
     }
 
-    /// `M = Q + λAᵀA + εI` (ε absolute), the same algebra as
-    /// `solve_analytic` but fused into one pass over the two m×m
-    /// operands (three 128 MB streams at m=4000 instead of five).
-    fn system_matrix(q: &DMatrix, gram: &DMatrix, lambda: f64, ridge_abs: f64) -> DMatrix {
-        let data: Vec<f64> =
-            q.as_slice().iter().zip(gram.as_slice()).map(|(&qv, &gv)| qv + lambda * gv).collect();
-        let mut system = DMatrix::from_vec(q.rows(), q.cols(), data);
+    /// Factors `Q + λAᵀA + εI` assembled fresh: `Q` from the grid and
+    /// `AᵀA` from `A` densified, through the cold build's Gram kernel
+    /// and system expression.
+    fn fresh_factor(
+        grid: &SubpopGrid,
+        a: &CsrMatrix,
+        lambda: f64,
+        ridge_abs: f64,
+    ) -> Result<UpdatableCholesky, LinalgError> {
+        let mut system = grid.assemble_q();
+        system.add_scaled(lambda, &a.to_dense().gram_with_pattern(a));
         if ridge_abs > 0.0 {
             system.add_diagonal(ridge_abs);
         }
-        system
+        UpdatableCholesky::factor(system)
     }
 
     fn solve_weights(&self) -> Vec<f64> {
@@ -267,11 +270,10 @@ impl IncrementalTrainer {
         self.factor.solve(&rhs)
     }
 
-    /// Refactors the exactly maintained system, for where an in-place
+    /// Refactors the freshly assembled system, for where an in-place
     /// update cannot apply (see the type docs).
     fn refactor(&mut self) -> Result<(), LinalgError> {
-        let system = Self::system_matrix(&self.q, &self.gram, self.lambda, self.ridge_abs);
-        self.factor = UpdatableCholesky::factor(system)?;
+        self.factor = Self::fresh_factor(&self.grid, &self.a, self.lambda, self.ridge_abs)?;
         Ok(())
     }
 
@@ -302,8 +304,8 @@ impl IncrementalTrainer {
     }
 
     /// Warm refine: folds `new_queries`' constraint rows into the cached
-    /// system and its factor and re-solves without reassembling Q/A,
-    /// recomputing the Gram product, or refactoring.
+    /// factor and re-solves without reassembling Q/A, recomputing the
+    /// Gram product, or refactoring.
     pub fn refine(
         &mut self,
         new_queries: &[ObservedQuery],
@@ -311,40 +313,22 @@ impl IncrementalTrainer {
         let m = self.subpops.len();
         let t0 = Instant::now();
         let mut scratch = self.grid.scratch();
-        let mut row = vec![0.0; m];
-        // Stage 1 (serial): constraint rows come out of the stateful grid
-        // scratch one at a time and append to `A`/`s`. `Aᵀs` updates run
-        // here in the original per-row order; the rows and their nonzero
-        // lists are collected so `AᵀA` and the factor can fold them as
-        // one batch.
-        let k = new_queries.len();
-        let mut rows_flat = Vec::with_capacity(k * m);
-        let mut nz_flat: Vec<usize> = Vec::new();
-        let mut nz_off = Vec::with_capacity(k + 1);
-        nz_off.push(0);
-        for query in new_queries {
-            self.grid.constraint_row_into(&query.rect, &mut row, &mut scratch);
-            self.a.push_row(&row);
-            self.s.push(query.selectivity);
-            for (i, &v) in row.iter().enumerate() {
-                if v != 0.0 {
-                    nz_flat.push(i);
-                    self.ats[i] += query.selectivity * v;
-                }
+        // Constraint rows come out of the stateful grid scratch one at a
+        // time and append to `A`/`s`; `Aᵀs` updates in query order, each
+        // row's columns ascending. The dense rows are kept so the factor
+        // can fold them as one batch.
+        let mut rows_flat = vec![0.0; new_queries.len() * m];
+        for (qi, query) in new_queries.iter().enumerate() {
+            let row = &mut rows_flat[qi * m..(qi + 1) * m];
+            self.grid.constraint_row_into(&query.rect, row, &mut scratch);
+            for &j in scratch.nonzeros() {
+                self.ats[j as usize] += query.selectivity * row[j as usize];
             }
-            nz_off.push(nz_flat.len());
-            rows_flat.extend_from_slice(&row);
+            self.a.push_gathered(scratch.nonzeros(), row);
+            self.s.push(query.selectivity);
         }
-        // Stage 2: the k rank-1 symmetric updates of `AᵀA`, batched into
-        // one rank-k fold that partitions gram rows across the workspace
-        // pool. Per gram entry the additions still run in query order, so
-        // the fold is bit-identical to the serial per-row sweep.
-        // Stage 3: the same rows fold into the factor. Non-positive λ
-        // refactors instead: `λ·rᵀr` is then no positive update, while a
-        // refactor of `Q + λAᵀA` is exact for any λ.
-        if k > 0 {
-            fold_rank_k_into_gram(&mut self.gram, &rows_flat, &nz_flat, &nz_off, m);
-        }
+        // Non-positive λ refactors instead: `λ·rᵀr` is then no positive
+        // update, while a refactor of `Q + λAᵀA` is exact for any λ.
         if self.lambda > 0.0 {
             self.factor.update(&rows_flat, self.lambda);
         } else {
@@ -380,7 +364,7 @@ impl IncrementalTrainer {
     /// overwrites `replaced` in place; `removed` is dropped with
     /// order-preserving shifting). The factor takes the merged row in
     /// before it downdates the two old ones out; a failed downdate
-    /// refactors the system, which is already updated by then.
+    /// refactors the edited system, assembled fresh.
     pub fn apply_history_edit(
         &mut self,
         replaced: usize,
@@ -390,29 +374,25 @@ impl IncrementalTrainer {
         let n = self.trained_queries();
         assert!(replaced < n && removed < n && replaced != removed, "edit indices out of range");
         let m = self.subpops.len();
-        // Fold the two old constraint rows out of AᵀA / Aᵀs.
-        let old_rows = [replaced, removed].map(|idx| self.a.row(idx + 1).to_vec());
-        for (idx, row) in [replaced, removed].into_iter().zip(&old_rows) {
+        // Fold the two old constraint rows out of Aᵀs; they are densified
+        // only for the factor downdates.
+        let old_rows = [replaced, removed].map(|idx| self.a.dense_row(idx + 1));
+        for idx in [replaced, removed] {
             let sv = self.s[idx + 1];
-            for (i, &v) in row.iter().enumerate() {
-                if v != 0.0 {
-                    self.ats[i] -= sv * v;
-                }
+            let (cols, vals) = self.a.row(idx + 1);
+            for (&j, &v) in cols.iter().zip(vals) {
+                self.ats[j as usize] -= sv * v;
             }
-            rank_one_gram(&mut self.gram, row, -1.0);
         }
         // Fold the merged summary constraint in.
         let mut scratch = self.grid.scratch();
         let mut new_row = vec![0.0; m];
         self.grid.constraint_row_into(&merged.rect, &mut new_row, &mut scratch);
-        for (i, &v) in new_row.iter().enumerate() {
-            if v != 0.0 {
-                self.ats[i] += merged.selectivity * v;
-            }
+        for &j in scratch.nonzeros() {
+            self.ats[j as usize] += merged.selectivity * new_row[j as usize];
         }
-        rank_one_gram(&mut self.gram, &new_row, 1.0);
         // Keep A/s aligned with the edited history.
-        self.a.row_mut(replaced + 1).copy_from_slice(&new_row);
+        self.a.replace_gathered(replaced + 1, scratch.nonzeros(), &new_row);
         self.s[replaced + 1] = merged.selectivity;
         self.a.remove_row(removed + 1);
         self.s.remove(removed + 1);
@@ -426,29 +406,21 @@ impl IncrementalTrainer {
         Ok(())
     }
 
-    /// Captures the complete trainer state (supports, assembled system,
-    /// factor) for persistence; it carries no pending rows. Restoring
-    /// through [`try_from_state`](Self::try_from_state) yields a trainer
-    /// whose refines are bit-identical to this one's.
+    /// Captures the complete trainer state (supports, sparse constraint
+    /// system, factor) for persistence. Restoring through
+    /// [`try_from_state`](Self::try_from_state) yields a trainer whose
+    /// refines are bit-identical to this one's.
     pub fn export_state(&self) -> TrainerState {
         TrainerState {
             subpops: self.subpops.clone(),
-            q: self.q.clone(),
             a: self.a.clone(),
             s: self.s.clone(),
-            gram: self.gram.clone(),
             ats: self.ats.clone(),
             factor_lower: self.factor.lower(),
-            // Older builds restore a Woodbury solver from this field,
-            // which needs a positive scale.
-            solver_scale: if self.lambda > 0.0 { self.lambda } else { 1.0 },
-            pending_rows: Vec::new(),
-            pending_solved: Vec::new(),
-            pending_signs: Vec::new(),
-            pending_rank: 0,
             lambda: self.lambda,
             ridge_abs: self.ridge_abs,
             warm_refines: self.warm_refines,
+            legacy_pending_rows: false,
         }
     }
 
@@ -457,8 +429,9 @@ impl IncrementalTrainer {
     /// entries, or degenerate supports reject with a typed
     /// [`StateError`] instead of panicking downstream. The subpopulation
     /// grid is rebuilt deterministically from the captured supports. A
-    /// capture that still carries Woodbury pending rows (written before
-    /// factors were updated in place) refactors its captured system.
+    /// capture that carried Woodbury pending rows (written before factors
+    /// were updated in place) refactors its system, assembled fresh,
+    /// instead of adopting its factor.
     pub fn try_from_state(state: TrainerState) -> Result<Self, StateError> {
         let invalid = |context: &'static str| StateError::Invalid { context };
         let m = state.subpops.len();
@@ -475,12 +448,6 @@ impl IncrementalTrainer {
                 return Err(invalid("trainer support has non-positive volume"));
             }
         }
-        if state.q.rows() != m || state.q.cols() != m {
-            return Err(invalid("Q shape does not match the subpopulation count"));
-        }
-        if state.gram.rows() != m || state.gram.cols() != m {
-            return Err(invalid("AᵀA shape does not match the subpopulation count"));
-        }
         if state.a.cols() != m {
             return Err(invalid("A width does not match the subpopulation count"));
         }
@@ -494,34 +461,29 @@ impl IncrementalTrainer {
             return Err(invalid("factor shape does not match the subpopulation count"));
         }
         let finite = |xs: &[f64]| xs.iter().all(|x| x.is_finite());
-        if !finite(state.q.as_slice())
-            || !finite(state.gram.as_slice())
-            || !finite(state.a.as_slice())
+        if !finite(state.a.values())
             || !finite(&state.s)
             || !finite(&state.ats)
+            || !finite(state.factor_lower.as_slice())
         {
             return Err(invalid("trainer capture contains non-finite entries"));
         }
         if !(state.lambda.is_finite() && state.ridge_abs.is_finite() && state.ridge_abs >= 0.0) {
             return Err(invalid("trainer capture has invalid lambda/ridge"));
         }
-        let pending = state.pending_rank > 0 || !state.pending_rows.is_empty();
-        let factor = if pending {
-            let system = Self::system_matrix(&state.q, &state.gram, state.lambda, state.ridge_abs);
-            UpdatableCholesky::factor(system)
+        let grid = SubpopGrid::new(&state.subpops);
+        let factor = if state.legacy_pending_rows {
+            Self::fresh_factor(&grid, &state.a, state.lambda, state.ridge_abs)
                 .map_err(|_| invalid("captured system with pending rows does not factor"))?
         } else {
             UpdatableCholesky::from_lower(state.factor_lower)
                 .map_err(|_| invalid("captured Cholesky factor is not a valid lower triangle"))?
         };
-        let grid = SubpopGrid::new(&state.subpops);
         Ok(Self {
             subpops: state.subpops,
             grid,
-            q: state.q,
             a: state.a,
             s: state.s,
-            gram: state.gram,
             ats: state.ats,
             factor,
             lambda: state.lambda,
@@ -529,57 +491,6 @@ impl IncrementalTrainer {
             warm_refines: state.warm_refines,
         })
     }
-}
-
-/// One signed symmetric rank-1 update `gram += sign·rᵀr`, restricted to
-/// the row's nonzero support. Used by history eviction, where edits
-/// arrive one merge at a time and the parallel batched fold would not
-/// pay for itself.
-fn rank_one_gram(gram: &mut DMatrix, row: &[f64], sign: f64) {
-    let nz: Vec<usize> =
-        row.iter().enumerate().filter(|&(_, &v)| v != 0.0).map(|(i, _)| i).collect();
-    for &i in &nz {
-        let ri = sign * row[i];
-        let g_row = gram.row_mut(i);
-        for &j in &nz {
-            g_row[j] += ri * row[j];
-        }
-    }
-}
-
-/// Folds `k` constraint rows into `gram += Σ_r r_rᵀ r_r` as one rank-k
-/// symmetric update, partitioning gram rows across the workspace pool.
-///
-/// **Exactness contract** (the PR-3/PR-5 discipline): for every gram
-/// entry `(i, j)` the contributions accumulate in query order
-/// `r = 0..k` — the same per-entry addition order as the serial rank-1
-/// sweep — and chunks write disjoint row slabs, so the fold compares
-/// equal (`==`) to the serial path at any thread count.
-fn fold_rank_k_into_gram(
-    gram: &mut DMatrix,
-    rows_flat: &[f64],
-    nz_flat: &[usize],
-    nz_off: &[usize],
-    m: usize,
-) {
-    let k = nz_off.len() - 1;
-    let pool = quicksel_parallel::current();
-    let pieces = if k * m >= PAR_MIN_FOLD { pool.chunks_for(m, PAR_MIN_FOLD_ROWS) } else { 1 };
-    pool.scope_slabs(gram.as_mut_slice(), m, pieces, |range, slab| {
-        for i in range.clone() {
-            let g_row = &mut slab[(i - range.start) * m..(i - range.start) * m + m];
-            for r in 0..k {
-                let row = &rows_flat[r * m..(r + 1) * m];
-                let ri = row[i];
-                if ri == 0.0 {
-                    continue;
-                }
-                for &j in &nz_flat[nz_off[r]..nz_off[r + 1]] {
-                    g_row[j] += ri * row[j];
-                }
-            }
-        }
-    });
 }
 
 #[cfg(test)]
@@ -777,12 +688,12 @@ mod tests {
         }
     }
 
-    /// Whether the factor is bit for bit a refactor of the maintained
-    /// system, as after a fallback and never after an in-place edit.
-    fn refactored(trainer: &IncrementalTrainer) -> bool {
-        let t = trainer;
-        let system = IncrementalTrainer::system_matrix(&t.q, &t.gram, t.lambda, t.ridge_abs);
-        UpdatableCholesky::factor(system).unwrap().lower().as_slice() == t.factor.lower().as_slice()
+    /// Whether the factor is bit for bit a factorization of the freshly
+    /// assembled system, as after a fallback and never after an in-place
+    /// edit.
+    fn refactored(t: &IncrementalTrainer) -> bool {
+        let fresh = IncrementalTrainer::fresh_factor(&t.grid, &t.a, t.lambda, t.ridge_abs);
+        fresh.unwrap().lower().as_slice() == t.factor.lower().as_slice()
     }
 
     #[test]
@@ -790,7 +701,8 @@ mod tests {
         // Swap in a factor of I, far below the real system: folding the
         // merged row in succeeds, but folding an old row out of
         // `I + λ·mmᵀ` meets a negative pivot. The edit must then answer
-        // for the edited system as a fresh factorization does.
+        // for the edited system, assembled fresh, as a fresh
+        // factorization does.
         let d = domain();
         let subs = grid_subpops(&d);
         let mut queries: Vec<ObservedQuery> = (0..12)

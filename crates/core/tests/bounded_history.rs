@@ -11,7 +11,7 @@
 //!   the budget, not the ingest count.
 
 use proptest::prelude::*;
-use quicksel_core::{QuickSel, RefinePolicy};
+use quicksel_core::{QuickSel, RefinePolicy, SubpopGrid};
 use quicksel_data::datasets::gaussian::gaussian_table;
 use quicksel_data::workload::{CenterMode, QueryGenerator, RectWorkload, ShiftMode};
 use quicksel_data::{Estimate, Learn, ObservedQuery, RefineOutcome};
@@ -127,7 +127,8 @@ fn long_bounded_run_keeps_the_updated_factor_on_a_fresh_solve() {
     // compaction merge, which the trainer's factor takes as one update
     // and two downdates. After all of them the weights must stay within
     // 1e-8 (relative) of a fresh factorization of the system the trainer
-    // answers for, with its Gram recomputed from A.
+    // answers for, assembled fresh: `Q` from the supports, `AᵀA` and
+    // `Aᵀs` from `A`.
     let mut est = QuickSel::builder(domain())
         .refine_policy(RefinePolicy::Manual)
         .fixed_subpops(64)
@@ -148,16 +149,14 @@ fn long_bounded_run_keeps_the_updated_factor_on_a_fresh_solve() {
     assert!(est.evicted_rows() >= 500, "only {} merges", est.evicted_rows());
 
     let t = est.export_state().trainer.unwrap();
-    // The factor was maintained in place: it is not what a refactor of
-    // the maintained system would give.
-    let mut maintained = t.q.clone();
-    maintained.add_scaled(t.lambda, &t.gram);
-    maintained.add_diagonal(t.ridge_abs);
-    assert_ne!(t.factor_lower.as_slice(), factor_spd(&maintained).unwrap().l().as_slice());
-    let mut system = t.q.clone();
-    system.add_scaled(t.lambda, &t.a.gram());
+    let a = t.a.to_dense();
+    let mut system = SubpopGrid::new(&t.subpops).assemble_q();
+    system.add_scaled(t.lambda, &a.gram());
     system.add_diagonal(t.ridge_abs);
-    let rhs: Vec<f64> = t.a.t_matvec(&t.s).iter().map(|v| v * t.lambda).collect();
+    // The factor was maintained in place: it is not what a refactor of
+    // the fresh assembly would give.
+    assert_ne!(t.factor_lower.as_slice(), factor_spd(&system).unwrap().l().as_slice());
+    let rhs: Vec<f64> = a.t_matvec(&t.s).iter().map(|v| v * t.lambda).collect();
     let fresh = solve_spd(&system, &rhs).unwrap();
     let scale = fresh.iter().fold(0.0f64, |m, w| m.max(w.abs()));
     for (w, f) in est.model().unwrap().weights().iter().zip(&fresh) {

@@ -13,6 +13,7 @@ use quicksel_core::train::build_qp;
 use quicksel_core::{FrozenModel, SubpopGrid, UniformMixtureModel};
 use quicksel_data::ObservedQuery;
 use quicksel_geometry::{Domain, Rect};
+use quicksel_linalg::{CsrMatrix, UpdatableCholesky};
 use quicksel_parallel::{with_pool, ThreadPool};
 
 /// Thread counts exercised per case: serial, even split, odd split, and
@@ -87,6 +88,13 @@ fn assert_assembly_parallel_equivalent(dim: usize, subpops: &[Rect], obs: &[Obse
         assert!(serial.q == parallel.q, "Q diverged at {threads} threads");
         assert!(serial.a == parallel.a, "A diverged at {threads} threads");
         assert_eq!(serial.s, parallel.s, "s diverged at {threads} threads");
+        // Each slab's sparse rows are exactly its dense rows' nonzeros,
+        // appended in row order.
+        let (_, sparse, _) = with_pool(&pool, || SubpopGrid::new(subpops).assemble_a(obs));
+        assert!(
+            sparse == CsrMatrix::from_dense(&serial.a),
+            "sparse A diverged at {threads} threads"
+        );
     }
 }
 
@@ -183,13 +191,13 @@ proptest! {
     }
 }
 
-/// Warm (incremental) refines fold each batch into the cached gram as
-/// one rank-k update fanned out over disjoint row slabs. The fold keeps
-/// per-entry addition order identical to the serial rank-1 sweep, so
-/// the whole warm-refine trajectory — gram, AᵀS, weights, estimates —
+/// Warm (incremental) refines append each batch to the sparse `A` and
+/// fold it into the factor in place, on top of a cold build whose
+/// assembly, Gram and factorization fan out over the pool. The whole
+/// warm-refine trajectory — `A`, `Aᵀs`, factor, weights, estimates —
 /// must be bit-identical at every thread count.
 #[test]
-fn warm_refine_rank_k_fold_is_thread_count_invariant() {
+fn warm_refine_trajectory_is_thread_count_invariant() {
     use quicksel_core::{QuickSel, RefinePolicy};
     use quicksel_data::{Estimate, Learn};
 
@@ -199,8 +207,6 @@ fn warm_refine_rank_k_fold_is_thread_count_invariant() {
             .fixed_subpops(600)
             .seed(17)
             .build();
-        // Cold train, then warm batches big enough (k·m = 64·600) that
-        // the parallel fold gate fires.
         est.observe_batch(&queries(2, 150));
         est.refine().expect("cold train");
         for round in 0..3 {
@@ -217,15 +223,50 @@ fn warm_refine_rank_k_fold_is_thread_count_invariant() {
         let estimates: Vec<f64> = probes.iter().map(|r| est.estimate(r)).collect();
         let state = est.export_state();
         let trainer = state.trainer.expect("trained");
-        (estimates, trainer.gram, trainer.ats, state.model.expect("model").1)
+        let weights = state.model.expect("model").1;
+        (estimates, trainer.a, trainer.ats, trainer.factor_lower, weights)
     };
 
     let serial = with_pool(&ThreadPool::new(1), drive);
     for threads in THREAD_COUNTS {
         let parallel = with_pool(&ThreadPool::new(threads), drive);
         assert_eq!(serial.0, parallel.0, "estimates diverged at {threads} threads");
-        assert!(serial.1 == parallel.1, "gram diverged at {threads} threads");
+        assert!(serial.1 == parallel.1, "A diverged at {threads} threads");
         assert_eq!(serial.2, parallel.2, "AᵀS diverged at {threads} threads");
-        assert_eq!(serial.3, parallel.3, "weights diverged at {threads} threads");
+        assert!(serial.3 == parallel.3, "factor diverged at {threads} threads");
+        assert_eq!(serial.4, parallel.4, "weights diverged at {threads} threads");
+    }
+}
+
+/// The cold build keeps neither `Q` nor `AᵀA`: it forms its system in
+/// `Q`'s buffer and drops the Gram product. Its factor and weights must
+/// still equal, bit for bit, a factorization of the dense reference
+/// `Q + λ·gram(A) + εI` assembled from the grid, at every thread count.
+#[test]
+fn cold_factor_equals_the_dense_reference_factorization() {
+    use quicksel_core::IncrementalTrainer;
+
+    let (lambda, ridge_rel) = (1e6, 1e-5);
+    let d = domain(2);
+    let subpops = supports(2, 400);
+    let obs = queries(2, 160);
+    let (factor, weights) = with_pool(&ThreadPool::new(1), || {
+        let qp = SubpopGrid::new(&subpops).assemble_qp(&obs);
+        let mut system = qp.q.clone();
+        system.add_scaled(lambda, &qp.a.gram());
+        system.add_diagonal(system.trace() / subpops.len() as f64 * ridge_rel);
+        let factor = UpdatableCholesky::factor(system).expect("reference factors");
+        let rhs: Vec<f64> = qp.a.t_matvec(&qp.s).iter().map(|v| v * lambda).collect();
+        (factor.lower(), factor.solve(&rhs))
+    });
+    for threads in THREAD_COUNTS {
+        let (trainer, model, _) = with_pool(&ThreadPool::new(threads), || {
+            IncrementalTrainer::cold(&d, subpops.clone(), &obs, lambda, ridge_rel).expect("cold")
+        });
+        assert!(
+            trainer.export_state().factor_lower == factor,
+            "factor diverged at {threads} threads"
+        );
+        assert_eq!(model.weights(), &weights[..], "weights diverged at {threads} threads");
     }
 }

@@ -12,7 +12,8 @@
 //! and [`datasets::instacart`] generate synthetic tables that preserve the
 //! properties those experiments exercise — attribute correlation,
 //! multi-modality, discrete/continuous mixes — with the row count as a
-//! knob. See DESIGN.md §3 for the substitution rationale.
+//! knob. The README's "Building and testing" section lists the figure
+//! binaries that run on them.
 
 pub mod datasets;
 pub mod drift;

@@ -8,7 +8,8 @@
 //! ```
 //!
 //! The numeric ecosystem is kept in-repo: this crate provides the dense
-//! [`DMatrix`] type, blocked matrix multiplication, Gram products,
+//! [`DMatrix`] type, the sparse [`CsrMatrix`] that holds the constraint
+//! matrix, blocked matrix multiplication, Gram products,
 //! [`cholesky`] and [`lu`] factorizations, and two QP solvers:
 //!
 //! * [`qp::solve_analytic`] — the closed-form solution above (one
@@ -21,6 +22,7 @@ pub mod cholesky;
 pub mod lu;
 pub mod matrix;
 pub mod qp;
+pub mod sparse;
 pub mod update;
 pub mod vector;
 
@@ -28,6 +30,7 @@ pub use cholesky::{factor_spd, solve_spd, CholeskyFactor, CHOL_BLOCK};
 pub use lu::LuFactor;
 pub use matrix::DMatrix;
 pub use qp::{solve_analytic, AdmmQp, AdmmReport, QpProblem};
+pub use sparse::CsrMatrix;
 pub use update::UpdatableCholesky;
 
 /// Errors surfaced by factorizations and solvers.

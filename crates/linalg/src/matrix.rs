@@ -1,5 +1,6 @@
 //! Dense row-major matrices with the handful of kernels QuickSel needs.
 
+use crate::sparse::CsrMatrix;
 use crate::vector::dot;
 use quicksel_parallel::SharedSlice;
 use std::fmt;
@@ -213,8 +214,6 @@ impl DMatrix {
     /// each output entry still accumulates input rows in ascending
     /// order, so the parallel Gram equals the serial Gram exactly.
     pub fn gram(&self) -> DMatrix {
-        let n = self.cols;
-        let mut g = DMatrix::zeros(n, n);
         // Per-row nonzero column lists (ascending), computed once; the
         // cursors advance monotonically as the groups sweep left→right.
         let mut nz: Vec<u32> = Vec::new();
@@ -226,25 +225,42 @@ impl DMatrix {
             );
             nz_start.push(nz.len());
         }
+        self.gram_over(&nz, &nz_start)
+    }
+
+    /// [`gram`](Self::gram) of a matrix whose nonzeros are already
+    /// listed: `pattern`'s entries, row by row, must cover every nonzero
+    /// of `self` (entries over zeros add nothing). Skips the scan that
+    /// finds the nonzeros; the sweep, and so the result, is the same bit
+    /// for bit.
+    ///
+    /// # Panics
+    /// Panics when `pattern`'s shape differs from `self`'s.
+    pub fn gram_with_pattern(&self, pattern: &CsrMatrix) -> DMatrix {
+        assert_eq!((pattern.rows(), pattern.cols()), (self.rows, self.cols), "gram pattern shape");
+        self.gram_over(pattern.indices(), pattern.offsets())
+    }
+
+    /// The Gram sweep over per-row nonzero column lists `nz`, row `r`'s
+    /// at `nz[nz_start[r]..nz_start[r + 1]]`, ascending.
+    fn gram_over(&self, nz: &[u32], nz_start: &[usize]) -> DMatrix {
+        let n = self.cols;
+        let mut g = DMatrix::zeros(n, n);
         let pool = quicksel_parallel::current();
         let groups = n.div_ceil(Self::GRAM_ROW_GROUP.max(1));
         let pieces = pool.chunks_for(groups, 2);
-        {
-            let nz = &nz;
-            let nz_start = &nz_start;
-            pool.scope_slabs(&mut g.data, n, pieces, |range, slab| {
-                // Seed this job's cursors at its first output column;
-                // from there the sweep is the serial one. (The serial
-                // case seeds at column 0, where the seek is a no-op.)
-                let cursor: Vec<usize> = (0..nz_start.len() - 1)
-                    .map(|r| {
-                        let row_nz = &nz[nz_start[r]..nz_start[r + 1]];
-                        nz_start[r] + row_nz.partition_point(|&c| (c as usize) < range.start)
-                    })
-                    .collect();
-                self.gram_columns(slab, range.start, range.end, cursor, nz, nz_start);
-            });
-        }
+        pool.scope_slabs(&mut g.data, n, pieces, |range, slab| {
+            // Seed this job's cursors at its first output column;
+            // from there the sweep is the serial one. (The serial
+            // case seeds at column 0, where the seek is a no-op.)
+            let cursor: Vec<usize> = (0..nz_start.len() - 1)
+                .map(|r| {
+                    let row_nz = &nz[nz_start[r]..nz_start[r + 1]];
+                    nz_start[r] + row_nz.partition_point(|&c| (c as usize) < range.start)
+                })
+                .collect();
+            self.gram_columns(slab, range.start, range.end, cursor, nz, nz_start);
+        });
         // Mirror the upper triangle (pure copies: reads are strictly
         // upper-triangle cells, writes strictly lower, so row chunks
         // cannot overlap).
@@ -464,6 +480,25 @@ mod tests {
                     prop_assert!((g.get(i, j) - g.get(j, i)).abs() < 1e-12);
                 }
             }
+        }
+
+        #[test]
+        fn prop_gram_with_pattern_equals_gram(
+            picks in prop::collection::vec(0u8..4, 9 * 70),
+        ) {
+            // Mostly zeros, like a constraint matrix; wide enough for the
+            // FMA blocks and their unfused tails.
+            let data = picks.iter().map(|&p| [0.0, 0.0, 0.75, -1.5][p as usize]).collect();
+            let a = DMatrix::from_vec(9, 70, data);
+            let g = a.gram();
+            prop_assert!(a.gram_with_pattern(&CsrMatrix::from_dense(&a)) == g);
+            // A pattern that also lists zeros changes nothing either.
+            let mut full = CsrMatrix::new(70);
+            let every: Vec<u32> = (0..70).collect();
+            for r in 0..9 {
+                full.push_gathered(&every, a.row(r));
+            }
+            prop_assert!(a.gram_with_pattern(&full) == g);
         }
 
         #[test]

@@ -185,14 +185,16 @@ impl From<PersistError> for WireError {
 // Framing
 // ---------------------------------------------------------------------
 
-/// Writes `body` as one frame (header + body) to `w`. Does not flush —
-/// callers batch frames behind a `BufWriter` and flush per round-trip.
+/// Writes `body` as one frame (header + body) to `w` in a single
+/// `write_all`. Callers write to unbuffered `TCP_NODELAY` sockets, where
+/// a separate header write would cost its own syscall and TCP segment.
+/// Does not flush.
 pub fn write_frame(w: &mut impl Write, body: &[u8]) -> std::io::Result<()> {
-    let mut header = [0u8; FRAME_HEADER_LEN];
-    header[..4].copy_from_slice(&(body.len() as u32).to_le_bytes());
-    header[4..].copy_from_slice(&crc32(body).to_le_bytes());
-    w.write_all(&header)?;
-    w.write_all(body)
+    let mut frame = Vec::with_capacity(FRAME_HEADER_LEN + body.len());
+    frame.extend_from_slice(&(body.len() as u32).to_le_bytes());
+    frame.extend_from_slice(&crc32(body).to_le_bytes());
+    frame.extend_from_slice(body);
+    w.write_all(&frame)
 }
 
 /// Parses a frame header into `(body_len, crc32)`, validating the length
@@ -1050,6 +1052,35 @@ mod tests {
             read_frame(&mut cursor, DEFAULT_MAX_FRAME),
             Err(WireError::ConnectionClosed)
         ));
+    }
+
+    #[test]
+    fn a_frame_goes_out_in_one_write() {
+        /// Accepts every byte, counting `write` calls.
+        struct CountingWriter {
+            writes: usize,
+            bytes: Vec<u8>,
+        }
+        impl Write for CountingWriter {
+            fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+                self.writes += 1;
+                self.bytes.extend_from_slice(buf);
+                Ok(buf.len())
+            }
+            fn flush(&mut self) -> std::io::Result<()> {
+                Ok(())
+            }
+        }
+        let bodies: [&[u8]; 3] = [b"payload", b"", &[7u8; 4096]];
+        let mut w = CountingWriter { writes: 0, bytes: Vec::new() };
+        for (k, body) in bodies.iter().enumerate() {
+            write_frame(&mut w, body).unwrap();
+            assert_eq!(w.writes, k + 1, "frame {k} took more than one write");
+        }
+        let mut cursor = &w.bytes[..];
+        for body in bodies {
+            assert_eq!(read_frame(&mut cursor, DEFAULT_MAX_FRAME).unwrap(), body);
+        }
     }
 
     #[test]

@@ -59,11 +59,12 @@ pub struct ServerConfig {
     /// server closes it.
     pub idle_timeout: Duration,
     /// Deadline for reading the rest of a request (and writing its
-    /// response) once its first byte has arrived.
+    /// response) once its first byte has arrived. Must be positive:
+    /// [`serve`] refuses zero.
     pub request_timeout: Duration,
     /// Poll granularity while waiting for a request: the shutdown flag
     /// is re-checked this often, so drain latency is bounded by one
-    /// tick.
+    /// tick. Must be positive: [`serve`] refuses zero.
     pub shutdown_tick: Duration,
     /// Cap on a single frame body; larger announcements are refused
     /// before allocation.
@@ -417,10 +418,21 @@ impl Drop for ServerHandle {
 /// thread feeding a bounded queue drained by the worker pool. Returns
 /// as soon as the listener is bound; the handle carries the resolved
 /// address.
+///
+/// A zero `request_timeout` or `shutdown_tick` is refused with
+/// [`std::io::ErrorKind::InvalidInput`] before anything binds: both
+/// become socket read timeouts, and a zero one cannot be set, so such a
+/// server could not answer a single request.
 pub fn serve<B: NetBackend>(
     backend: Arc<B>,
     config: ServerConfig,
 ) -> std::io::Result<ServerHandle> {
+    if config.request_timeout.is_zero() || config.shutdown_tick.is_zero() {
+        return Err(std::io::Error::new(
+            std::io::ErrorKind::InvalidInput,
+            "request_timeout and shutdown_tick must be positive",
+        ));
+    }
     let listener = TcpListener::bind(&config.addr)?;
     let addr = listener.local_addr()?;
     let worker_count = if config.workers == 0 {

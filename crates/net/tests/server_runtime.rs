@@ -93,6 +93,18 @@ fn basic_round_trips_work() {
 }
 
 #[test]
+fn zero_socket_timeouts_are_refused_before_binding() {
+    // Both durations become socket read timeouts, which cannot be zero:
+    // a server started with either would fail every connection.
+    let zero_request = ServerConfig { request_timeout: Duration::ZERO, ..quick_config() };
+    let zero_tick = ServerConfig { shutdown_tick: Duration::ZERO, ..quick_config() };
+    for config in [zero_request, zero_tick] {
+        let err = serve(registry(), config).err().expect("a zero timeout must be refused");
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidInput, "{err}");
+    }
+}
+
+#[test]
 fn unknown_table_and_bad_dimensionality_are_typed() {
     let (_handle, _backend) = start(quick_config());
     let mut client = NetClient::connect(_handle.addr()).expect("connect");

@@ -247,34 +247,37 @@ impl ThreadPool {
     /// into `pieces` contiguous slabs with [`split_even`], and runs
     /// `f(rows, slab)` per slab — inline (one call covering every row)
     /// when `pieces <= 1`, so the serial fallback is the plain loop
-    /// with zero dispatch overhead.
+    /// with zero dispatch overhead. Returns each slab's result, in slab
+    /// order.
     ///
     /// This is the one home of the slab/offset bookkeeping every
     /// row-partitioned kernel needs; slabs are carved with
     /// `split_at_mut`, so disjointness is compiler-checked, and chunk
     /// boundaries are deterministic ([`split_even`] of the row count).
-    pub fn scope_slabs<T: Send>(
+    pub fn scope_slabs<T: Send, R: Send>(
         &self,
         data: &mut [T],
         width: usize,
         pieces: usize,
-        f: impl Fn(Range<usize>, &mut [T]) + Sync,
-    ) {
+        f: impl Fn(Range<usize>, &mut [T]) -> R + Sync,
+    ) -> Vec<R> {
         let rows = data.len().checked_div(width).unwrap_or(0);
         debug_assert_eq!(rows * width, data.len(), "data must be whole rows");
         if pieces <= 1 {
-            f(0..rows, data);
-            return;
+            return vec![f(0..rows, data)];
         }
+        let ranges = split_even(rows, pieces);
+        let mut results: Vec<Option<R>> = ranges.iter().map(|_| None).collect();
         let f = &f;
         self.scope(|s| {
             let mut rest = data;
-            for range in split_even(rows, pieces) {
+            for (range, slot) in ranges.into_iter().zip(&mut results) {
                 let (slab, tail) = rest.split_at_mut((range.end - range.start) * width);
                 rest = tail;
-                s.spawn(move || f(range, slab));
+                s.spawn(move || *slot = Some(f(range, slab)));
             }
         });
+        results.into_iter().map(|r| r.expect("the scope ran every slab job")).collect()
     }
 
     /// Forces every worker thread through one wake-up, so one-shot
@@ -604,18 +607,23 @@ mod tests {
             let pool = ThreadPool::new(threads);
             let (rows, width) = (37, 5);
             let mut data = vec![0usize; rows * width];
-            pool.scope_slabs(&mut data, width, pieces, |range, slab| {
+            let starts = pool.scope_slabs(&mut data, width, pieces, |range, slab| {
                 assert_eq!(slab.len(), (range.end - range.start) * width);
-                for (k, r) in range.enumerate() {
+                for (k, r) in range.clone().enumerate() {
                     for c in 0..width {
                         slab[k * width + c] = r * width + c;
                     }
                 }
+                range.start
             });
             assert!(
                 data.iter().enumerate().all(|(i, &v)| v == i),
                 "threads={threads} pieces={pieces}"
             );
+            // One result per slab, in slab order.
+            let expected: Vec<usize> =
+                split_even(rows, pieces).into_iter().map(|r| r.start).collect();
+            assert_eq!(starts, expected, "threads={threads} pieces={pieces}");
         }
     }
 

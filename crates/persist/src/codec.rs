@@ -21,7 +21,7 @@ use crate::PersistError;
 use quicksel_core::{QuickSelConfig, QuickSelState, RefinePolicy, TrainerState, TrainingMethod};
 use quicksel_data::ObservedQuery;
 use quicksel_geometry::{ColumnMeta, ColumnType, Domain, Interval, Rect};
-use quicksel_linalg::DMatrix;
+use quicksel_linalg::{CsrMatrix, DMatrix};
 
 /// Magic of an estimator-state container.
 pub const STATE_MAGIC: [u8; 4] = *b"QSES";
@@ -38,10 +38,16 @@ pub const STATE_MAGIC: [u8; 4] = *b"QSES";
 ///   drift knobs, all-positive pending rows), and `point_counts` is
 ///   reconstructed from the points-per-query setting.
 ///
-/// New captures write the trainer's pending-row fields empty, since the
-/// factor is updated in place; a capture that carries pending rows
-/// restores by refactoring its captured system.
-pub const STATE_VERSION: u16 = 2;
+/// * **v3** — the trainer section keeps only what cannot be recomputed:
+///   `A` as compressed sparse rows (per row, the nonzero count, the
+///   ascending column indices, then the values), `s`, `Aᵀs`, and the
+///   factor as its order followed by the m(m+1)/2 entries of its lower
+///   triangle, row by row. `Q`, `AᵀA` and the legacy Woodbury fields
+///   (solver scale, pending rows, solves, rank and signs) are gone. v1
+///   and v2 containers still decode: their `Q` and `AᵀA` are skipped
+///   unread and their dense `A` converted; a capture that carried pending
+///   rows is marked, and restoring it refactors its system.
+pub const STATE_VERSION: u16 = 3;
 
 const SEC_DOMAIN: [u8; 4] = *b"DOMN";
 const SEC_CONFIG: [u8; 4] = *b"CONF";
@@ -214,27 +220,6 @@ fn get_config(r: &mut Reader<'_>, version: u16) -> Result<QuickSelConfig, Persis
     })
 }
 
-fn put_matrix(out: &mut Vec<u8>, m: &DMatrix) {
-    out.put_usize(m.rows());
-    out.put_usize(m.cols());
-    for &v in m.as_slice() {
-        out.put_f64(v);
-    }
-}
-
-fn get_matrix(r: &mut Reader<'_>) -> Result<DMatrix, PersistError> {
-    let rows = r.usize("matrix rows")?;
-    let cols = r.usize("matrix cols")?;
-    let n = rows
-        .checked_mul(cols)
-        .ok_or(PersistError::Invalid { context: "matrix shape overflows" })?;
-    if n.saturating_mul(8) > r.remaining() {
-        return Err(PersistError::Truncated { context: "matrix data" });
-    }
-    let data = (0..n).map(|_| r.f64("matrix entry")).collect::<Result<Vec<_>, _>>()?;
-    Ok(DMatrix::from_vec(rows, cols, data))
-}
-
 fn put_f64s(out: &mut Vec<u8>, xs: &[f64]) {
     out.put_usize(xs.len());
     for &v in xs {
@@ -247,70 +232,214 @@ fn get_f64s(r: &mut Reader<'_>, context: &'static str) -> Result<Vec<f64>, Persi
     (0..n).map(|_| r.f64(context)).collect()
 }
 
+/// Writes `A` as compressed sparse rows: the row count, then per row its
+/// nonzero count (`u32`), its column indices (`u32`) and its values.
+fn put_csr(out: &mut Vec<u8>, a: &CsrMatrix) {
+    out.put_usize(a.rows());
+    for r in 0..a.rows() {
+        let (cols, vals) = a.row(r);
+        out.put_u32(cols.len() as u32);
+        for &c in cols {
+            out.put_u32(c);
+        }
+        for &v in vals {
+            out.put_f64(v);
+        }
+    }
+}
+
+/// Reads a [`put_csr`] matrix of `cols` columns. Each row's claimed
+/// nonzero count is checked against `cols` and against the bytes left
+/// before its entries are read, and its columns must be strictly
+/// ascending and below `cols`.
+fn get_csr(r: &mut Reader<'_>, cols: usize) -> Result<CsrMatrix, PersistError> {
+    let rows = r.bounded_len(4, "constraint row count")?;
+    let mut a = CsrMatrix::new(cols);
+    let (mut idx, mut vals) = (Vec::new(), Vec::new());
+    for _ in 0..rows {
+        let nnz = r.u32("constraint row nonzeros")? as usize;
+        if nnz > cols {
+            return Err(PersistError::Invalid {
+                context: "constraint row has more nonzeros than columns",
+            });
+        }
+        if nnz.saturating_mul(12) > r.remaining() {
+            return Err(PersistError::Truncated { context: "constraint row entries" });
+        }
+        idx.clear();
+        vals.clear();
+        for _ in 0..nnz {
+            idx.push(r.u32("constraint column")?);
+        }
+        for _ in 0..nnz {
+            vals.push(r.f64("constraint value")?);
+        }
+        a.push_row(&idx, &vals).map_err(|_| PersistError::Invalid {
+            context: "constraint row columns are not strictly ascending and in range",
+        })?;
+    }
+    Ok(a)
+}
+
+/// Writes a lower-triangular factor as its order, then the m(m+1)/2
+/// entries on and below its diagonal, row by row.
+fn put_lower_triangle(out: &mut Vec<u8>, l: &DMatrix) {
+    out.put_usize(l.rows());
+    for i in 0..l.rows() {
+        for &v in &l.row(i)[..=i] {
+            out.put_f64(v);
+        }
+    }
+}
+
+/// Reads a [`put_lower_triangle`] factor, checking the entry count its
+/// order implies against the bytes left before allocating it.
+fn get_lower_triangle(r: &mut Reader<'_>) -> Result<DMatrix, PersistError> {
+    let order = r.usize("factor order")?;
+    let entries = order
+        .checked_add(1)
+        .and_then(|next| order.checked_mul(next))
+        .ok_or(PersistError::Invalid { context: "factor order overflows" })?
+        / 2;
+    if entries.saturating_mul(8) > r.remaining() {
+        return Err(PersistError::Truncated { context: "factor entries" });
+    }
+    let mut l = DMatrix::zeros(order, order);
+    for i in 0..order {
+        for v in &mut l.row_mut(i)[..=i] {
+            *v = r.f64("factor entry")?;
+        }
+    }
+    Ok(l)
+}
+
 fn put_trainer(out: &mut Vec<u8>, t: &TrainerState) {
     out.put_usize(t.subpops.len());
     for rect in &t.subpops {
         encode_rect(out, rect);
     }
-    put_matrix(out, &t.q);
-    put_matrix(out, &t.a);
+    put_csr(out, &t.a);
     put_f64s(out, &t.s);
-    put_matrix(out, &t.gram);
     put_f64s(out, &t.ats);
-    put_matrix(out, &t.factor_lower);
-    out.put_f64(t.solver_scale);
-    put_f64s(out, &t.pending_rows);
-    put_f64s(out, &t.pending_solved);
-    out.put_usize(t.pending_rank);
+    put_lower_triangle(out, &t.factor_lower);
     out.put_f64(t.lambda);
     out.put_f64(t.ridge_abs);
     out.put_usize(t.warm_refines);
-    put_f64s(out, &t.pending_signs);
 }
 
 fn get_trainer(r: &mut Reader<'_>, version: u16) -> Result<TrainerState, PersistError> {
     let m = r.bounded_len(4, "subpop count")?;
+    if u32::try_from(m).is_err() {
+        return Err(PersistError::Invalid { context: "subpop count overflows the column index" });
+    }
     let subpops = (0..m).map(|_| decode_rect(r)).collect::<Result<Vec<_>, _>>()?;
-    let q = get_matrix(r)?;
-    let a = get_matrix(r)?;
+    if version < 3 {
+        return get_legacy_trainer(r, subpops, version);
+    }
+    let a = get_csr(r, m)?;
     let s = get_f64s(r, "selectivity vector")?;
-    let gram = get_matrix(r)?;
+    let ats = get_f64s(r, "ats vector")?;
+    let factor_lower = get_lower_triangle(r)?;
+    let lambda = r.f64("trainer lambda")?;
+    let ridge_abs = r.f64("trainer ridge")?;
+    let warm_refines = r.usize("warm refines")?;
+    Ok(TrainerState {
+        subpops,
+        a,
+        s,
+        ats,
+        factor_lower,
+        lambda,
+        ridge_abs,
+        warm_refines,
+        legacy_pending_rows: false,
+    })
+}
+
+/// Reads a v1/v2 dense matrix header: its shape and entry count.
+fn matrix_header(r: &mut Reader<'_>) -> Result<(usize, usize, usize), PersistError> {
+    let rows = r.usize("matrix rows")?;
+    let cols = r.usize("matrix cols")?;
+    let n = rows
+        .checked_mul(cols)
+        .ok_or(PersistError::Invalid { context: "matrix shape overflows" })?;
+    Ok((rows, cols, n))
+}
+
+fn get_matrix(r: &mut Reader<'_>) -> Result<DMatrix, PersistError> {
+    let (rows, cols, n) = matrix_header(r)?;
+    if n.saturating_mul(8) > r.remaining() {
+        return Err(PersistError::Truncated { context: "matrix data" });
+    }
+    let data = (0..n).map(|_| r.f64("matrix entry")).collect::<Result<Vec<_>, _>>()?;
+    Ok(DMatrix::from_vec(rows, cols, data))
+}
+
+/// Skips a dense matrix that v1/v2 trainer sections carried and the
+/// trainer no longer keeps: its claimed size is checked against the
+/// bytes left, and nothing is allocated for it.
+fn skip_matrix(r: &mut Reader<'_>, context: &'static str) -> Result<(), PersistError> {
+    let (_, _, n) = matrix_header(r)?;
+    r.bytes(n.saturating_mul(8), context).map(|_| ())
+}
+
+/// Skips a length-prefixed `f64` vector, returning its length.
+fn skip_f64s(r: &mut Reader<'_>, context: &'static str) -> Result<usize, PersistError> {
+    let n = r.bounded_len(8, context)?;
+    r.bytes(n * 8, context)?;
+    Ok(n)
+}
+
+/// Reads the rest of a v1/v2 trainer section. `Q` and `AᵀA` are skipped
+/// unread, the dense `A` keeps only its nonzeros, and the Woodbury fields
+/// are checked for consistency, then reduced to whether the capture
+/// carried any pending rows.
+fn get_legacy_trainer(
+    r: &mut Reader<'_>,
+    subpops: Vec<Rect>,
+    version: u16,
+) -> Result<TrainerState, PersistError> {
+    let m = subpops.len();
+    skip_matrix(r, "Q matrix")?;
+    let dense_a = get_matrix(r)?;
+    if dense_a.cols() != m {
+        return Err(PersistError::Invalid {
+            context: "A width does not match the subpopulation count",
+        });
+    }
+    let a = CsrMatrix::from_dense(&dense_a);
+    let s = get_f64s(r, "selectivity vector")?;
+    skip_matrix(r, "AᵀA matrix")?;
     let ats = get_f64s(r, "ats vector")?;
     let factor_lower = get_matrix(r)?;
-    let solver_scale = r.f64("solver scale")?;
-    let pending_rows = get_f64s(r, "pending rows")?;
-    let pending_solved = get_f64s(r, "pending solves")?;
+    r.f64("solver scale")?;
+    let pending_rows = skip_f64s(r, "pending rows")?;
+    let pending_solved = skip_f64s(r, "pending solves")?;
     let pending_rank = r.usize("pending rank")?;
     // Pending rows are `pending_rank × m`; a rank that disagrees is
-    // refused before it can size an allocation.
-    if pending_rank > pending_rows.len()
-        || pending_rank.checked_mul(m) != Some(pending_rows.len())
-        || pending_solved.len() != pending_rows.len()
+    // refused.
+    if pending_rank > pending_rows
+        || pending_rank.checked_mul(m) != Some(pending_rows)
+        || pending_solved != pending_rows
     {
         return Err(PersistError::Invalid { context: "pending rank disagrees with pending rows" });
     }
     let lambda = r.f64("trainer lambda")?;
     let ridge_abs = r.f64("trainer ridge")?;
     let warm_refines = r.usize("warm refines")?;
-    // v1 pending rows were always fold-ins; signs restore all-positive.
-    let pending_signs =
-        if version >= 2 { get_f64s(r, "pending signs")? } else { vec![1.0; pending_rank] };
+    if version >= 2 {
+        skip_f64s(r, "pending signs")?;
+    }
     Ok(TrainerState {
         subpops,
-        q,
         a,
         s,
-        gram,
         ats,
         factor_lower,
-        solver_scale,
-        pending_rows,
-        pending_solved,
-        pending_rank,
         lambda,
         ridge_abs,
         warm_refines,
-        pending_signs,
+        legacy_pending_rows: pending_rank > 0,
     })
 }
 

@@ -13,7 +13,7 @@
 //! * [`codec`] — byte-exact serialization of a full
 //!   [`QuickSelState`](quicksel_core::QuickSelState) capture: observed
 //!   queries, workload points, model, RNG mid-stream state, and the
-//!   incremental trainer's cached `Q`/`AᵀA`/`Aᵀs`/Cholesky factor, so a
+//!   incremental trainer's sparse `A`, `Aᵀs` and Cholesky factor, so a
 //!   recovered estimator resumes **warm** and estimates **bit-identically**.
 //! * [`wal`] — a per-shard write-ahead log of feedback batches between
 //!   checkpoints: CRC-framed records, size-based segment rotation, and a

@@ -6,15 +6,16 @@
 
 use proptest::prelude::*;
 use quicksel_core::{
-    IncrementalTrainer, QuickSel, QuickSelState, RefinePolicy, StateError, TrainingMethod,
+    IncrementalTrainer, QuickSel, QuickSelState, RefinePolicy, StateError, SubpopGrid,
+    TrainerState, TrainingMethod,
 };
 use quicksel_data::{Estimate, Learn, ObservedQuery, RefineOutcome};
 use quicksel_geometry::{Domain, Interval, Rect};
-use quicksel_linalg::{factor_spd, solve_spd};
-use quicksel_persist::format::{write_container, PutBytes};
+use quicksel_linalg::{factor_spd, solve_spd, DMatrix};
+use quicksel_persist::format::{write_container, Container, PutBytes};
 use quicksel_persist::{
     decode_state, encode_domain, encode_rect, encode_state, PersistError, PersistLearner,
-    STATE_MAGIC,
+    STATE_MAGIC, STATE_VERSION,
 };
 
 fn domain() -> Domain {
@@ -182,27 +183,100 @@ fn hostile_states_are_rejected_before_reaching_the_core() {
     assert!(QuickSel::try_from_state(good).is_ok());
 }
 
+/// The trainer fields that v1 and v2 captures carried and v3 dropped.
+struct LegacyTrainer {
+    q: DMatrix,
+    gram: DMatrix,
+    factor_lower: DMatrix,
+    solver_scale: f64,
+    pending_rows: Vec<f64>,
+    pending_solved: Vec<f64>,
+    pending_signs: Vec<f64>,
+    pending_rank: usize,
+}
+
+impl LegacyTrainer {
+    /// What a build of that era wrote beside `t`: `Q` and `AᵀA`
+    /// (assembled fresh here), the factor, and no pending rows.
+    fn of(t: &TrainerState) -> Self {
+        Self {
+            q: SubpopGrid::new(&t.subpops).assemble_q(),
+            gram: t.a.to_dense().gram(),
+            factor_lower: t.factor_lower.clone(),
+            solver_scale: if t.lambda > 0.0 { t.lambda } else { 1.0 },
+            pending_rows: Vec::new(),
+            pending_solved: Vec::new(),
+            pending_signs: Vec::new(),
+            pending_rank: 0,
+        }
+    }
+}
+
+fn put_f64s(out: &mut Vec<u8>, xs: &[f64]) {
+    out.put_usize(xs.len());
+    for &v in xs {
+        out.put_f64(v);
+    }
+}
+
+fn put_matrix(out: &mut Vec<u8>, m: &DMatrix) {
+    out.put_usize(m.rows());
+    out.put_usize(m.cols());
+    for &v in m.as_slice() {
+        out.put_f64(v);
+    }
+}
+
+/// A trainer section in the v1 (`version` 1) or v2 layout: dense `Q`,
+/// `A` and `AᵀA`, the full square factor, and the Woodbury fields, with
+/// the pending signs appended from v2 on.
+fn legacy_trainer_section(t: &TrainerState, legacy: &LegacyTrainer, version: u16) -> Vec<u8> {
+    let mut buf = Vec::new();
+    buf.put_usize(t.subpops.len());
+    for rect in &t.subpops {
+        encode_rect(&mut buf, rect);
+    }
+    put_matrix(&mut buf, &legacy.q);
+    put_matrix(&mut buf, &t.a.to_dense());
+    put_f64s(&mut buf, &t.s);
+    put_matrix(&mut buf, &legacy.gram);
+    put_f64s(&mut buf, &t.ats);
+    put_matrix(&mut buf, &legacy.factor_lower);
+    buf.put_f64(legacy.solver_scale);
+    put_f64s(&mut buf, &legacy.pending_rows);
+    put_f64s(&mut buf, &legacy.pending_solved);
+    buf.put_usize(legacy.pending_rank);
+    buf.put_f64(t.lambda);
+    buf.put_f64(t.ridge_abs);
+    buf.put_usize(t.warm_refines);
+    if version >= 2 {
+        put_f64s(&mut buf, &legacy.pending_signs);
+    }
+    buf
+}
+
+const SECTIONS_BEFORE_TRAINER: [[u8; 4]; 6] =
+    [*b"DOMN", *b"CONF", *b"QRYS", *b"PNTS", *b"MODL", *b"MISC"];
+
+/// Re-containers the current-format capture `bytes` as format `version`,
+/// with its trainer section replaced by `trainer`.
+fn with_trainer_section(bytes: &[u8], version: u16, trainer: &[u8]) -> Vec<u8> {
+    let c = Container::open(STATE_MAGIC, STATE_VERSION, bytes).expect("a current capture");
+    let mut sections: Vec<([u8; 4], &[u8])> = SECTIONS_BEFORE_TRAINER
+        .into_iter()
+        .map(|tag| (tag, c.section(tag).expect("section present")))
+        .collect();
+    sections.push((*b"TRNR", trainer));
+    write_container(STATE_MAGIC, version, &sections)
+}
+
 /// Serializes a capture in the exact **v1** container layout: config
 /// stops after `warm_refine_limit`, MISC stops after the training
 /// version, the trainer carries no pending signs, and there is no
 /// point-count/compaction/drift bookkeeping anywhere. This pins the
 /// pre-bounded-history format byte for byte, so checkpoints written by
 /// older builds keep decoding.
-fn encode_state_v1(state: &QuickSelState) -> Vec<u8> {
-    fn put_f64s(out: &mut Vec<u8>, xs: &[f64]) {
-        out.put_usize(xs.len());
-        for &v in xs {
-            out.put_f64(v);
-        }
-    }
-    fn put_matrix(out: &mut Vec<u8>, m: &quicksel_linalg::DMatrix) {
-        out.put_usize(m.rows());
-        out.put_usize(m.cols());
-        for &v in m.as_slice() {
-            out.put_f64(v);
-        }
-    }
-
+fn encode_state_v1(state: &QuickSelState, legacy: &LegacyTrainer) -> Vec<u8> {
     let mut domain = Vec::new();
     encode_domain(&mut domain, &state.domain);
 
@@ -262,27 +336,7 @@ fn encode_state_v1(state: &QuickSelState) -> Vec<u8> {
     misc.put_usize(state.pending_since_refine);
     misc.put_u64(state.version);
 
-    let trainer = state.trainer.as_ref().map(|t| {
-        let mut buf = Vec::new();
-        buf.put_usize(t.subpops.len());
-        for rect in &t.subpops {
-            encode_rect(&mut buf, rect);
-        }
-        put_matrix(&mut buf, &t.q);
-        put_matrix(&mut buf, &t.a);
-        put_f64s(&mut buf, &t.s);
-        put_matrix(&mut buf, &t.gram);
-        put_f64s(&mut buf, &t.ats);
-        put_matrix(&mut buf, &t.factor_lower);
-        buf.put_f64(t.solver_scale);
-        put_f64s(&mut buf, &t.pending_rows);
-        put_f64s(&mut buf, &t.pending_solved);
-        buf.put_usize(t.pending_rank);
-        buf.put_f64(t.lambda);
-        buf.put_f64(t.ridge_abs);
-        buf.put_usize(t.warm_refines);
-        buf
-    });
+    let trainer = state.trainer.as_ref().map(|t| legacy_trainer_section(t, legacy, 1));
 
     let mut sections: Vec<([u8; 4], &[u8])> = vec![
         (*b"DOMN", &domain),
@@ -298,6 +352,15 @@ fn encode_state_v1(state: &QuickSelState) -> Vec<u8> {
     write_container(STATE_MAGIC, 1, &sections)
 }
 
+/// Serializes a trained capture in the exact **v2** container layout.
+/// v2 differs from the current format only in its trainer section (see
+/// [`legacy_trainer_section`]), so the other sections are the current
+/// encoder's.
+fn encode_state_v2(state: &QuickSelState, legacy: &LegacyTrainer) -> Vec<u8> {
+    let t = state.trainer.as_ref().expect("a trained capture");
+    with_trainer_section(&encode_state(state), 2, &legacy_trainer_section(t, legacy, 2))
+}
+
 #[test]
 fn v1_checkpoints_still_decode_and_recover() {
     // A trained estimator whose state is expressible in v1: unbounded
@@ -305,12 +368,13 @@ fn v1_checkpoints_still_decode_and_recover() {
     let est = trained(11, 5);
     let state = est.export_state();
     assert_eq!(state.compacted_len, 0, "fixture must be v1-expressible");
-    assert!(state.trainer.as_ref().unwrap().pending_signs.iter().all(|&s| s == 1.0));
+    let t = state.trainer.as_ref().unwrap();
 
-    let v1_bytes = encode_state_v1(&state);
+    let v1_bytes = encode_state_v1(&state, &LegacyTrainer::of(t));
     let decoded = decode_state(&v1_bytes).expect("v1 container must decode");
 
-    // Migration fills the new fields with v1 semantics.
+    // Migration fills the new fields with v1 semantics, and the dense
+    // `A` becomes the sparse one the trainer held.
     assert_eq!(decoded.config.max_history, usize::MAX);
     assert_eq!(decoded.point_counts.len(), decoded.queries.len());
     let total: u64 = decoded.point_counts.iter().map(|&c| u64::from(c)).sum();
@@ -318,6 +382,9 @@ fn v1_checkpoints_still_decode_and_recover() {
     assert_eq!(decoded.compacted_len, 0);
     assert_eq!(decoded.evicted_total, 0);
     assert!(!decoded.force_cold);
+    let dt = decoded.trainer.as_ref().unwrap();
+    assert_eq!(dt.a, t.a);
+    assert!(!dt.legacy_pending_rows);
 
     // And the migrated state restores to a serving estimator with
     // bit-identical estimates…
@@ -347,7 +414,8 @@ fn v1_point_pool_mismatch_is_rejected() {
     let est = trained(12, 3);
     let mut state = est.export_state();
     state.point_pool.pop();
-    let v1_bytes = encode_state_v1(&state);
+    let legacy = LegacyTrainer::of(state.trainer.as_ref().unwrap());
+    let v1_bytes = encode_state_v1(&state, &legacy);
     assert!(matches!(decode_state(&v1_bytes), Err(PersistError::Invalid { .. })));
 }
 
@@ -357,20 +425,66 @@ fn v1_absurd_pending_rank_is_a_typed_error() {
     // empty pending list: decoding must refuse it with a typed error
     // instead of sizing an allocation from it.
     let est = trained(13, 3);
-    let mut state = est.export_state();
-    state.trainer.as_mut().unwrap().pending_rank = 1 << 40;
-    let v1_bytes = encode_state_v1(&state);
+    let state = est.export_state();
+    let mut legacy = LegacyTrainer::of(state.trainer.as_ref().unwrap());
+    legacy.pending_rank = 1 << 40;
+    let v1_bytes = encode_state_v1(&state, &legacy);
     assert!(matches!(decode_state(&v1_bytes), Err(PersistError::Invalid { .. })));
 }
 
-/// Rewrites a capture the way a trainer with a Woodbury solver wrote
-/// it: the last `k` constraint rows pending on top of a factor of the
-/// system without them, each with its cached base-system solve.
-fn with_woodbury_pending_rows(state: &mut QuickSelState, k: usize) {
-    let t = state.trainer.as_mut().unwrap();
+#[test]
+fn v2_checkpoints_decode_restore_exactly_and_refine_warm() {
+    // A bounded-history capture, so every v2 field is in play.
+    let mut est = QuickSel::builder(domain())
+        .refine_policy(RefinePolicy::Manual)
+        .fixed_subpops(24)
+        .seed(21)
+        .max_history(8)
+        .build();
+    for b in 0..10 {
+        est.observe_batch(&(0..4).map(|j| obs(b * 4 + j)).collect::<Vec<_>>());
+        est.refine().expect("train");
+    }
+    let state = est.export_state();
+    assert!(state.compacted_len > 0 && !state.force_cold, "fixture must be compacted and warm");
+    let t = state.trainer.as_ref().unwrap();
+    let v2_bytes = encode_state_v2(&state, &LegacyTrainer::of(t));
+    assert_eq!(&v2_bytes[4..6], &2u16.to_le_bytes(), "the fixture is a v2 container");
+    let decoded = decode_state(&v2_bytes).expect("v2 container must decode");
+    assert!(!decoded.trainer.as_ref().unwrap().legacy_pending_rows);
+    // Nothing the current format keeps was lost on the way.
+    assert_eq!(encode_state(&decoded), encode_state(&state));
+
+    // It restores with bit-identical estimates and, fed the same
+    // feedback as its source, refines warm along the same trajectory.
+    let mut restored = QuickSel::try_from_state(decoded).expect("v2 state must restore");
+    for p in probes() {
+        assert_eq!(est.estimate(&p), restored.estimate(&p));
+    }
+    for e in 0..3 {
+        let batch: Vec<ObservedQuery> = (0..4).map(|j| obs(600 + e * 4 + j)).collect();
+        est.observe_batch(&batch);
+        restored.observe_batch(&batch);
+        est.refine().expect("source refine");
+        match restored.refine().expect("restored refine") {
+            RefineOutcome::Retrained { incremental, .. } => assert!(incremental),
+            other => panic!("expected a retrain, got {other:?}"),
+        }
+    }
+    for p in probes() {
+        assert_eq!(est.estimate(&p), restored.estimate(&p));
+    }
+}
+
+/// The legacy fields of a capture written by a trainer with a Woodbury
+/// solver: the last `k` constraint rows pending on top of a factor of
+/// the system without them, each with its cached base-system solve.
+fn woodbury_pending(t: &TrainerState, k: usize) -> LegacyTrainer {
     let m = t.subpops.len();
-    let rows = t.a.as_slice()[(t.a.rows() - k) * m..].to_vec();
-    let mut base = t.gram.clone();
+    let a = t.a.to_dense();
+    let rows = a.as_slice()[(a.rows() - k) * m..].to_vec();
+    let mut legacy = LegacyTrainer::of(t);
+    let mut base = legacy.gram.clone();
     for r in rows.chunks(m) {
         for (i, &ri) in r.iter().enumerate() {
             for (j, &rj) in r.iter().enumerate() {
@@ -378,34 +492,36 @@ fn with_woodbury_pending_rows(state: &mut QuickSelState, k: usize) {
             }
         }
     }
-    let mut system = t.q.clone();
+    let mut system = legacy.q.clone();
     system.add_scaled(t.lambda, &base);
     system.add_diagonal(t.ridge_abs);
     let factor = factor_spd(&system).unwrap();
-    t.factor_lower = factor.l().clone();
-    t.solver_scale = t.lambda;
-    t.pending_solved = rows.chunks(m).flat_map(|r| factor.solve(r)).collect();
-    t.pending_rows = rows;
-    t.pending_signs = vec![1.0; k];
-    t.pending_rank = k;
+    legacy.factor_lower = factor.l().clone();
+    legacy.solver_scale = t.lambda;
+    legacy.pending_solved = rows.chunks(m).flat_map(|r| factor.solve(r)).collect();
+    legacy.pending_rows = rows;
+    legacy.pending_signs = vec![1.0; k];
+    legacy.pending_rank = k;
+    legacy
 }
 
 #[test]
 fn capture_with_woodbury_pending_rows_restores_and_resumes_warm() {
     let est = trained(11, 3);
-    let mut state = est.export_state();
+    let state = est.export_state();
     assert!(!state.force_cold, "fixture must resume warm");
     let t = state.trainer.as_ref().unwrap();
-    assert!(t.pending_rank == 0 && t.pending_rows.is_empty(), "new captures carry no pending rows");
-    assert!(t.pending_solved.is_empty() && t.pending_signs.is_empty());
-    with_woodbury_pending_rows(&mut state, 8);
-    let decoded = decode_state(&encode_state(&state)).expect("a pending capture decodes");
-
-    // The restored trainer answers for its captured system, as a fresh
-    // factorization of `Q + λAᵀA + εI` does, and refines warm.
+    assert!(!t.legacy_pending_rows, "new captures carry no pending rows");
+    let bytes = encode_state_v2(&state, &woodbury_pending(t, 8));
+    let decoded = decode_state(&bytes).expect("a pending capture decodes");
     let t = decoded.trainer.clone().unwrap();
-    let mut system = t.q.clone();
-    system.add_scaled(t.lambda, &t.gram);
+    assert!(t.legacy_pending_rows, "the decoder marks a capture with pending rows");
+
+    // The restored trainer answers for its system, assembled fresh, as a
+    // fresh factorization of `Q + λAᵀA + εI` does, and refines warm.
+    let a = t.a.to_dense();
+    let mut system = SubpopGrid::new(&t.subpops).assemble_q();
+    system.add_scaled(t.lambda, &a.gram());
     system.add_diagonal(t.ridge_abs);
     let rhs: Vec<f64> = t.ats.iter().map(|v| v * t.lambda).collect();
     let fresh = solve_spd(&system, &rhs).unwrap();
@@ -428,7 +544,7 @@ fn capture_with_woodbury_pending_rows_restores_and_resumes_warm() {
         RefineOutcome::Retrained { incremental, .. } => assert!(incremental),
         other => panic!("expected a retrain, got {other:?}"),
     }
-    assert_eq!(restored.export_state().trainer.unwrap().pending_rank, 0);
+    assert!(!restored.export_state().trainer.unwrap().legacy_pending_rows);
 }
 
 #[test]
@@ -476,6 +592,179 @@ fn decode_encode_decode_is_a_fixed_point() {
     let state = decode_state(&bytes).expect("decode");
     let re = encode_state(&state);
     assert_eq!(bytes, re, "encoding is not canonical");
+}
+
+#[test]
+fn legacy_dense_matrix_headers_are_bounds_checked_before_skipping() {
+    // A v2 trainer section whose skipped `Q` claims a shape past the
+    // buffer, or one whose byte count overflows: typed errors, with
+    // nothing allocated for the claim.
+    let est = trained(15, 2);
+    let state = est.export_state();
+    let t = state.trainer.as_ref().unwrap();
+    let section = legacy_trainer_section(t, &LegacyTrainer::of(t), 2);
+    // `Q`'s (rows, cols) header follows the subpopulation count and the
+    // supports.
+    let dim = t.subpops[0].dim();
+    let q_header = 8 + t.subpops.len() * (4 + 16 * dim);
+    let bytes = encode_state(&state);
+    for (rows, cols, truncated) in [(1u64 << 20, 1u64 << 20, true), (u64::MAX, 2, false)] {
+        let mut hostile = section.clone();
+        hostile[q_header..q_header + 8].copy_from_slice(&rows.to_le_bytes());
+        hostile[q_header + 8..q_header + 16].copy_from_slice(&cols.to_le_bytes());
+        match decode_state(&with_trainer_section(&bytes, 2, &hostile)) {
+            Err(PersistError::Truncated { .. }) if truncated => {}
+            Err(PersistError::Invalid { .. }) if !truncated => {}
+            other => panic!("Q header {rows}×{cols}: unexpected {other:?}"),
+        }
+    }
+}
+
+/// A v3 trainer section written field by field, independently of the
+/// codec, so a test can pin the layout and corrupt any part of it.
+#[derive(Clone)]
+struct V3Trainer {
+    subpops: Vec<Rect>,
+    /// Per constraint row: the nonzero count it claims, its columns and
+    /// its values.
+    rows: Vec<(u32, Vec<u32>, Vec<f64>)>,
+    s: Vec<f64>,
+    ats: Vec<f64>,
+    factor_order: u64,
+    /// The factor's lower triangle, row by row.
+    factor: Vec<f64>,
+    lambda: f64,
+    ridge_abs: f64,
+    warm_refines: u64,
+}
+
+impl V3Trainer {
+    fn of(t: &TrainerState) -> Self {
+        let rows = (0..t.a.rows())
+            .map(|r| {
+                let (cols, vals) = t.a.row(r);
+                (cols.len() as u32, cols.to_vec(), vals.to_vec())
+            })
+            .collect();
+        let order = t.factor_lower.rows();
+        let factor = (0..order).flat_map(|i| t.factor_lower.row(i)[..=i].to_vec()).collect();
+        Self {
+            subpops: t.subpops.clone(),
+            rows,
+            s: t.s.clone(),
+            ats: t.ats.clone(),
+            factor_order: order as u64,
+            factor,
+            lambda: t.lambda,
+            ridge_abs: t.ridge_abs,
+            warm_refines: t.warm_refines as u64,
+        }
+    }
+
+    /// The section's prefix, up to and including the constraint rows.
+    fn encode_through_rows(&self) -> Vec<u8> {
+        let mut buf = Vec::new();
+        buf.put_usize(self.subpops.len());
+        for rect in &self.subpops {
+            encode_rect(&mut buf, rect);
+        }
+        buf.put_usize(self.rows.len());
+        for (nnz, cols, vals) in &self.rows {
+            buf.put_u32(*nnz);
+            for &c in cols {
+                buf.put_u32(c);
+            }
+            for &v in vals {
+                buf.put_f64(v);
+            }
+        }
+        buf
+    }
+
+    fn encode(&self) -> Vec<u8> {
+        let mut buf = self.encode_through_rows();
+        put_f64s(&mut buf, &self.s);
+        put_f64s(&mut buf, &self.ats);
+        buf.put_u64(self.factor_order);
+        for &v in &self.factor {
+            buf.put_f64(v);
+        }
+        buf.put_f64(self.lambda);
+        buf.put_f64(self.ridge_abs);
+        buf.put_u64(self.warm_refines);
+        buf
+    }
+}
+
+#[test]
+fn v3_captures_round_trip_byte_for_byte() {
+    let mut bounded = QuickSel::builder(domain())
+        .refine_policy(RefinePolicy::Manual)
+        .fixed_subpops(24)
+        .seed(31)
+        .max_history(8)
+        .build();
+    for b in 0..10 {
+        bounded.observe_batch(&(0..4).map(|j| obs(b * 4 + j)).collect::<Vec<_>>());
+        bounded.refine().expect("train");
+    }
+    assert_eq!(STATE_VERSION, 3);
+    for est in [trained(9, 6), bounded] {
+        let bytes = est.save_state().expect("save");
+        assert_eq!(&bytes[4..6], &STATE_VERSION.to_le_bytes());
+        let state = decode_state(&bytes).expect("decode");
+        assert_eq!(encode_state(&state), bytes, "encoding is not canonical");
+        // The trainer section is exactly the documented v3 layout: sparse
+        // rows and the factor's lower triangle, nothing of `Q` or `AᵀA`.
+        let c = Container::open(STATE_MAGIC, STATE_VERSION, &bytes).expect("open");
+        let t = state.trainer.as_ref().expect("trained");
+        assert_eq!(c.section(*b"TRNR").expect("trainer section"), V3Trainer::of(t).encode());
+    }
+}
+
+#[test]
+fn hostile_v3_trainer_sections_are_typed_errors() {
+    let bytes = trained(14, 4).save_state().expect("save");
+    let state = decode_state(&bytes).expect("decode");
+    let good = V3Trainer::of(state.trainer.as_ref().expect("trained"));
+    let m = good.subpops.len() as u32;
+    assert!(good.rows[1].1.len() >= 2, "the fixture's first query row needs two nonzeros");
+    let load = |section: &[u8]| {
+        QuickSel::load_state(&with_trainer_section(&bytes, STATE_VERSION, section)).err()
+    };
+    let edited = |edit: &dyn Fn(&mut V3Trainer)| {
+        let mut t = good.clone();
+        edit(&mut t);
+        t.encode()
+    };
+    let invalid = |section: Vec<u8>| matches!(load(&section), Some(PersistError::Invalid { .. }));
+    let truncated =
+        |section: Vec<u8>| matches!(load(&section), Some(PersistError::Truncated { .. }));
+    assert!(load(&good.encode()).is_none(), "the unedited section loads");
+
+    // A column at or past m.
+    assert!(invalid(edited(&|t| *t.rows[1].1.last_mut().unwrap() = m)));
+    // Unsorted columns, then a repeated one.
+    assert!(invalid(edited(&|t| t.rows[1].1.swap(0, 1))));
+    assert!(invalid(edited(&|t| t.rows[1].1[1] = t.rows[1].1[0])));
+    // A row claiming more nonzeros than there are columns is refused
+    // before any of its entries are read.
+    assert!(invalid(edited(&|t| t.rows[1].0 = m + 1)));
+    assert!(invalid(edited(&|t| t.rows[1].0 = u32::MAX)));
+    // A row whose claimed entries run past the end of the section.
+    let mut cut = good.clone();
+    cut.rows.truncate(2);
+    cut.rows[1] = (m, Vec::new(), Vec::new());
+    assert!(truncated(cut.encode_through_rows()));
+    // Absurd factor orders: one whose entry count overflows, and one
+    // whose entries run past the buffer.
+    assert!(invalid(edited(&|t| t.factor_order = u64::MAX)));
+    assert!(truncated(edited(&|t| t.factor_order = 1 << 20)));
+    // Non-finite entries in `A`, in `s` and below the factor's diagonal
+    // decode, and the restore refuses them.
+    assert!(invalid(edited(&|t| t.rows[1].2[0] = f64::NAN)));
+    assert!(invalid(edited(&|t| t.s[1] = f64::INFINITY)));
+    assert!(invalid(edited(&|t| t.factor[1] = f64::NAN)));
 }
 
 proptest! {
