@@ -48,6 +48,16 @@
 //! time): each subpopulation block is loaded once and intersected with
 //! every rectangle of the tile before moving on, so a large model
 //! streams through cache `B / RECT_TILE` times instead of `B` times.
+//!
+//! # One source, two builds
+//!
+//! The tile loop behind `estimate_many` and `estimate_gather` is written
+//! once, as portable Rust, and compiled twice on x86-64: the second
+//! build enables AVX2 and runs whenever the host has it, so the overlap
+//! loops work four lanes wide instead of two. Neither build enables
+//! FMA, and Rust neither contracts `a*b + c` nor reorders float
+//! operations, so both compute the same bits: an estimate does not
+//! depend on the host.
 
 use crate::model::UniformMixtureModel;
 use quicksel_geometry::Rect;
@@ -270,8 +280,41 @@ impl FrozenModel {
     /// The serial blocked kernel over the rects `base..base + count`
     /// (as resolved through `rect_at`), handing each finished tile's
     /// raw accumulators to `sink` in order — the one tile loop behind
-    /// both the serial extend path and the parallel slab path.
-    fn kernel_tiles<'a, F>(
+    /// both the serial extend path and the parallel slab path. Runs the
+    /// AVX2 build of the loop where the host has AVX2; it computes the
+    /// same bits as the portable one.
+    fn kernel_tiles<'a, F>(&self, base: usize, count: usize, rect_at: &F, sink: impl FnMut(&[f64]))
+    where
+        F: Fn(usize) -> &'a Rect + Sync,
+    {
+        #[cfg(target_arch = "x86_64")]
+        if std::arch::is_x86_feature_detected!("avx2") {
+            // SAFETY: the host has AVX2, the clone's only target feature.
+            return unsafe { self.kernel_tiles_avx2(base, count, rect_at, sink) };
+        }
+        self.kernel_tiles_portable(base, count, rect_at, sink)
+    }
+
+    /// [`kernel_tiles_portable`](Self::kernel_tiles_portable) compiled
+    /// for AVX2, without FMA (see the module docs for why the bits
+    /// match).
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx2")]
+    fn kernel_tiles_avx2<'a, F>(
+        &self,
+        base: usize,
+        count: usize,
+        rect_at: &F,
+        sink: impl FnMut(&[f64]),
+    ) where
+        F: Fn(usize) -> &'a Rect + Sync,
+    {
+        self.kernel_tiles_portable(base, count, rect_at, sink)
+    }
+
+    /// The one source of the tile loop, inlined into both builds.
+    #[inline(always)]
+    fn kernel_tiles_portable<'a, F>(
         &self,
         base: usize,
         count: usize,
@@ -302,14 +345,18 @@ impl FrozenModel {
     /// Fills `ov[i]` with `|G_{z0+i} ∩ rect|` for one subpopulation
     /// block, as the left-to-right product of per-dimension overlap
     /// lengths: branch-free min/max arithmetic over contiguous columns,
-    /// written so LLVM auto-vectorizes it.
+    /// written so LLVM auto-vectorizes it — two lanes in the portable
+    /// build, four in the AVX2 clone of
+    /// [`kernel_tiles`](Self::kernel_tiles), which inlines it. Each lane
+    /// does the same operations either way, so the lengths and products
+    /// are the same bits.
     ///
     /// The compare-select idiom (instead of `f64::min`/`max`) lowers
     /// directly to `minpd`/`maxpd`; for the finite bounds a model can
     /// hold the selected values are identical to the scalar path's
     /// `minNum`/`maxNum` semantics (they differ only on NaN inputs,
     /// which positive-volume supports cannot produce).
-    #[inline]
+    #[inline(always)]
     fn overlap_block(&self, rect: &Rect, z0: usize, ov: &mut [f64]) {
         debug_assert_eq!(rect.dim(), self.dim);
         if self.dim == 0 {
@@ -351,7 +398,7 @@ impl FrozenModel {
     /// Adds one block's terms into `acc` sequentially, with the scalar
     /// path's term association (`w * overlap * inv`) and its skip
     /// conditions expressed as a select (see the exactness contract).
-    #[inline]
+    #[inline(always)]
     fn accumulate_block(&self, z0: usize, ov: &[f64], acc: &mut f64) {
         let ws = &self.weights[z0..z0 + ov.len()];
         let invs = &self.inv_volumes[z0..z0 + ov.len()];
@@ -452,6 +499,79 @@ mod tests {
         assert_eq!(batched.len(), probes.len());
         for (p, b) in probes.iter().zip(&batched) {
             assert_eq!(model.estimate(p), *b);
+        }
+    }
+
+    /// Raw accumulators for `rects` from the dispatched tile loop, or
+    /// from the portable body called by name.
+    fn raw_bits(f: &FrozenModel, rects: &[Rect], portable: bool) -> Vec<u64> {
+        let mut out = Vec::new();
+        let sink = |accs: &[f64]| out.extend(accs.iter().map(|a| a.to_bits()));
+        if portable {
+            f.kernel_tiles_portable(0, rects.len(), &|i| &rects[i], sink);
+        } else {
+            f.kernel_tiles(0, rects.len(), &|i| &rects[i], sink);
+        }
+        out
+    }
+
+    fn bits(v: &[f64]) -> Vec<u64> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    #[test]
+    fn dispatched_kernel_equals_the_portable_body_bit_for_bit() {
+        // On an AVX2 host the batched entry points run the AVX2 clone;
+        // calling the portable body by name keeps the non-AVX2 build
+        // under test too.
+        let model = |len: usize, dim: usize| {
+            let supports = (0..len)
+                .map(|z| {
+                    let bounds: Vec<(f64, f64)> = (0..dim)
+                        .map(|d| {
+                            let lo = ((z * (d + 3)) % 13) as f64 * 0.7 - 1.0;
+                            (lo, lo + 0.5 + ((z + d) % 5) as f64 * 0.4)
+                        })
+                        .collect();
+                    Rect::from_bounds(&bounds)
+                })
+                .collect();
+            // Zero, negative and positive weights.
+            let weights = (0..len).map(|z| ((z % 7) as f64 - 2.0) * 0.013).collect();
+            UniformMixtureModel::new(supports, weights)
+        };
+        let probes = |count: usize, dim: usize| -> Vec<Rect> {
+            (0..count)
+                .map(|i| {
+                    let bounds: Vec<(f64, f64)> = (0..dim)
+                        .map(|d| match (i + d) % 5 {
+                            0 => (-100.0, 100.0),
+                            1 => (50.0, 60.0), // out of domain
+                            2 => (1.5, 1.5),   // zero volume
+                            _ => {
+                                let lo = ((i * 3 + d) % 9) as f64 * 0.6 - 1.0;
+                                (lo, lo + 1.0 + (i % 4) as f64)
+                            }
+                        })
+                        .collect();
+                    Rect::from_bounds(&bounds)
+                })
+                .collect()
+        };
+        let cases = [(1, 2), (SUBPOP_BLOCK, 1), (SUBPOP_BLOCK * 2 + 7, 3), (5, 0)];
+        for (len, dim) in cases {
+            let f = FrozenModel::new(&model(len, dim));
+            for count in [1, RECT_TILE, RECT_TILE * 2 + 3, RECT_TILE * 9 + 5] {
+                let rects = probes(count, dim);
+                let portable = raw_bits(&f, &rects, true);
+                assert_eq!(raw_bits(&f, &rects, false), portable, "len={len} dim={dim} B={count}");
+                let clamped: Vec<u64> =
+                    portable.iter().map(|&b| f64::from_bits(b).clamp(0.0, 1.0).to_bits()).collect();
+                assert_eq!(bits(&f.estimate_many(&rects)), clamped, "len={len} dim={dim}");
+                let indexes: Vec<usize> = (0..count).rev().chain(0..count.min(3)).collect();
+                let gathered: Vec<u64> = indexes.iter().map(|&i| clamped[i]).collect();
+                assert_eq!(bits(&f.estimate_gather(&rects, &indexes)), gathered, "len={len}");
+            }
         }
     }
 }

@@ -157,9 +157,9 @@ fn zero_dimensional_model_keeps_the_empty_product() {
 #[test]
 #[should_panic(expected = "dimensionality")]
 fn mismatched_probe_dimensionality_is_rejected() {
-    // A hard (release-mode) guard: the explicit-SIMD path reads raw
-    // pointers, so a wider probe must panic at the kernel entry rather
-    // than reach the unsafe block.
+    // A hard (release-mode) guard: the kernel zips each probe side with
+    // the model's column for that dimension, so a narrower probe would
+    // silently skip the dimensions it lacks instead of failing.
     let model =
         UniformMixtureModel::new(vec![Rect::from_bounds(&[(0.0, 1.0), (0.0, 1.0)])], vec![1.0]);
     let _ = FrozenModel::new(&model).estimate(&Rect::from_bounds(&[(0.0, 1.0)]));

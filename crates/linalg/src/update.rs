@@ -21,6 +21,15 @@
 //! entry is zero skip that row's rotation, so a row's leading zeros cost
 //! nothing.
 //!
+//! The update's fused pass is written once, as portable Rust, and
+//! compiled twice on x86-64: the second build enables AVX2 and runs
+//! whenever the host has it, so a column sweep rotates four elements per
+//! instruction instead of two. Neither build enables FMA, and Rust
+//! neither contracts `a*b + c` nor reorders float operations, so both
+//! compute the same bits and an update does not depend on the host.
+//! [`solve`](UpdatableCholesky::solve) does: its [`dot`] and [`axpy`]
+//! use FMA on hosts with AVX2+FMA.
+//!
 //! A rotation walks one column of `L` per step, so the factor is stored
 //! as `Lᵀ` row-major: [`factor`](UpdatableCholesky::factor) and
 //! [`from_lower`](UpdatableCholesky::from_lower) transpose once, and
@@ -166,8 +175,28 @@ impl UpdatableCholesky {
 }
 
 /// One fused pass over `Lᵀ`: folds the (at most `FUSED_ROWS`) rows of
-/// `x` in, overwriting `x`.
+/// `x` in, overwriting `x`. Runs the AVX2 build of the pass where the
+/// host has AVX2; it computes the same bits as the portable one.
 fn rotate_in(ut: &mut DMatrix, x: &mut [f64]) {
+    #[cfg(target_arch = "x86_64")]
+    if std::arch::is_x86_feature_detected!("avx2") {
+        // SAFETY: the host has AVX2, the clone's only target feature.
+        return unsafe { rotate_in_avx2(ut, x) };
+    }
+    rotate_in_portable(ut, x)
+}
+
+/// [`rotate_in_portable`] compiled for AVX2, without FMA (see the module
+/// docs for why the bits match).
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+fn rotate_in_avx2(ut: &mut DMatrix, x: &mut [f64]) {
+    rotate_in_portable(ut, x)
+}
+
+/// The one source of the fused pass, inlined into both builds.
+#[inline(always)]
+fn rotate_in_portable(ut: &mut DMatrix, x: &mut [f64]) {
     let n = ut.rows();
     let mut xs: Vec<&mut [f64]> = x.chunks_exact_mut(n).collect();
     for k in 0..n {
@@ -318,6 +347,32 @@ mod tests {
                 rank_one_reference(&mut sequential, row, 1e3);
             }
             assert_eq!(fused.ut.as_slice(), sequential.ut.as_slice(), "n={n} k={k}");
+        }
+    }
+
+    /// The factor's bits, so signed zeros and NaNs compare too.
+    fn bits(f: &UpdatableCholesky) -> Vec<u64> {
+        f.ut.as_slice().iter().map(|v| v.to_bits()).collect()
+    }
+
+    #[test]
+    fn dispatched_update_equals_the_portable_body_bit_for_bit() {
+        // On an AVX2 host `update` runs the AVX2 clone; calling the
+        // portable body by name keeps the non-AVX2 build under test too.
+        let scale = 1e3;
+        for n in [9, 17, 40, 70, 131] {
+            let base = UpdatableCholesky::factor(spd(n, n as u64)).unwrap();
+            for k in 1..=12 {
+                let rows = awkward_rows(n, k);
+                let mut dispatched = base.clone();
+                dispatched.update(&rows, scale);
+                let mut portable = base.clone();
+                for batch in rows.chunks(FUSED_ROWS * n) {
+                    let mut work: Vec<f64> = batch.iter().map(|v| v * scale.sqrt()).collect();
+                    rotate_in_portable(&mut portable.ut, &mut work);
+                }
+                assert_eq!(bits(&dispatched), bits(&portable), "n={n} k={k}");
+            }
         }
     }
 

@@ -7,8 +7,12 @@
 /// Cholesky's trailing update is a wall of these dots, and the default
 /// SSE2 codegen leaves ~4× of its throughput on the table. The portable
 /// fallback is the 4-way unrolled accumulation. The two paths differ
-/// only by FP reassociation/fusion, which every caller already
-/// tolerates (solver results are tolerance-checked, never bit-pinned).
+/// by FP reassociation and fusion, so a result is bit-stable only
+/// across hosts with the same AVX2+FMA support. The cold Cholesky
+/// factor (through this and [`dot4`]) and every triangular solve
+/// (through this and [`axpy`]) inherit that: a restart or a replica
+/// that replays a WAL tail matches the primary's weights bit for bit
+/// only on a host with the same AVX2+FMA support as the primary's.
 #[inline]
 pub fn dot(x: &[f64], y: &[f64]) -> f64 {
     // Unconditional: the SIMD path reads y through raw pointers bounded
