@@ -30,7 +30,7 @@ use quicksel_core::{FrozenModel, SubpopGrid, UniformMixtureModel};
 use quicksel_data::datasets::gaussian::gaussian_table;
 use quicksel_data::workload::{CenterMode, QueryGenerator, RectWorkload, ShiftMode};
 use quicksel_data::ObservedQuery;
-use quicksel_geometry::{Domain, Rect};
+use quicksel_geometry::Rect;
 use quicksel_parallel::{with_pool, ThreadPool};
 use rand::SeedableRng;
 use std::time::Instant;
@@ -51,7 +51,6 @@ const BATCH_DIM: usize = 4;
 const REPS: usize = 3;
 
 struct TrainWorkload {
-    domain: Domain,
     subpops: Vec<Rect>,
     queries: Vec<ObservedQuery>,
 }
@@ -71,7 +70,7 @@ fn train_workload(m: usize) -> TrainWorkload {
     }
     let centers = sample_centers(&pool, m, &mut rng);
     let subpops = size_subpopulations(table.domain(), &centers, 10, 1.2);
-    TrainWorkload { domain: table.domain().clone(), subpops, queries }
+    TrainWorkload { subpops, queries }
 }
 
 /// The `batched_estimate` workload: deterministic overlapping model and
@@ -184,27 +183,17 @@ fn main() {
         let w = train_workload(TRAIN_M);
         let serial_pool = ThreadPool::new(1);
         let (serial_s, serial_model) = timed(&serial_pool, || {
-            let (_, model, _) = IncrementalTrainer::cold(
-                &w.domain,
-                w.subpops.clone(),
-                &w.queries,
-                LAMBDA,
-                RIDGE_REL,
-            )
-            .expect("cold train");
+            let (_, model, _) =
+                IncrementalTrainer::cold(w.subpops.clone(), &w.queries, LAMBDA, RIDGE_REL)
+                    .expect("cold train");
             model
         });
         for &t in &thread_counts {
             let pool = ThreadPool::new(t);
             let (secs, model) = timed(&pool, || {
-                let (_, model, _) = IncrementalTrainer::cold(
-                    &w.domain,
-                    w.subpops.clone(),
-                    &w.queries,
-                    LAMBDA,
-                    RIDGE_REL,
-                )
-                .expect("cold train");
+                let (_, model, _) =
+                    IncrementalTrainer::cold(w.subpops.clone(), &w.queries, LAMBDA, RIDGE_REL)
+                        .expect("cold train");
                 model
             });
             // Assembly, Gram, and the blocked factor are all exactly

@@ -105,8 +105,7 @@ fn cold_naive(w: &Workload, centers: &[Vec<f64>], n: usize) -> (Vec<Rect>, Vec<f
 fn cold_optimized(w: &Workload, centers: &[Vec<f64>], n: usize) -> (IncrementalTrainer, Vec<f64>) {
     let subpops = quicksel_core::subpop::size_subpopulations(&w.domain, centers, 10, 1.2);
     let (trainer, model, _) =
-        IncrementalTrainer::cold(&w.domain, subpops, &w.queries[..n], LAMBDA, RIDGE_REL)
-            .expect("cold train");
+        IncrementalTrainer::cold(subpops, &w.queries[..n], LAMBDA, RIDGE_REL).expect("cold train");
     let weights = model.weights().to_vec();
     (trainer, weights)
 }
@@ -172,7 +171,7 @@ fn main() {
         for _ in 0..3 {
             let mut fresh = trainer.clone();
             let t = Instant::now();
-            let (model, report) = fresh.refine(delta).expect("warm refine");
+            let (model, report) = fresh.refine(delta);
             warm_samples.push(t.elapsed().as_secs_f64());
             assert!(report.assembly_reused, "warm path did not fire");
             assert_eq!(report.rows_appended, WARM_DELTA);
@@ -184,7 +183,6 @@ fn main() {
         //    queries with the same subpops.
         let scratch = {
             let (_, model, _) = IncrementalTrainer::cold(
-                &w.domain,
                 trainer.subpops().to_vec(),
                 &w.queries[..n + WARM_DELTA],
                 LAMBDA,

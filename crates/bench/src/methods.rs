@@ -2,7 +2,7 @@
 
 use quicksel_baselines::isomer::IsomerConfig;
 use quicksel_baselines::{AutoHist, AutoSample, Isomer, IsomerQp, QueryModel, STHoles};
-use quicksel_core::{QuickSel, QuickSelConfig, RefinePolicy, TrainingMethod};
+use quicksel_core::{QuickSel, QuickSelConfig, RefinePolicy};
 use quicksel_data::Learn;
 use quicksel_geometry::Domain;
 
@@ -11,8 +11,6 @@ use quicksel_geometry::Domain;
 pub enum MethodKind {
     /// QuickSel with the analytic penalty solver (the paper's method).
     QuickSel,
-    /// QuickSel trained through the iterative standard QP (§5.4 baseline).
-    QuickSelStdQp,
     /// STHoles error-feedback histogram.
     STHoles,
     /// ISOMER max-entropy histogram (iterative scaling).
@@ -32,7 +30,6 @@ impl MethodKind {
     pub fn label(&self) -> &'static str {
         match self {
             MethodKind::QuickSel => "QuickSel",
-            MethodKind::QuickSelStdQp => "QuickSel(StdQP)",
             MethodKind::STHoles => "STHoles",
             MethodKind::Isomer => "ISOMER",
             MethodKind::IsomerQp => "ISOMER+QP",
@@ -88,15 +85,12 @@ impl Default for MethodOptions {
 /// [`Estimate`](quicksel_data::Estimate) supertrait.
 pub fn make_estimator(kind: MethodKind, domain: &Domain, opts: &MethodOptions) -> Box<dyn Learn> {
     match kind {
-        MethodKind::QuickSel | MethodKind::QuickSelStdQp => {
+        MethodKind::QuickSel => {
             let mut cfg = QuickSelConfig {
                 seed: opts.seed,
                 refine_policy: opts.refine_policy,
                 ..Default::default()
             };
-            if kind == MethodKind::QuickSelStdQp {
-                cfg.training = TrainingMethod::StandardQp;
-            }
             if let Some(m) = opts.fixed_params {
                 cfg = cfg.with_fixed_subpops(m);
             }
@@ -128,7 +122,6 @@ mod tests {
         let opts = MethodOptions::default();
         for kind in [
             MethodKind::QuickSel,
-            MethodKind::QuickSelStdQp,
             MethodKind::STHoles,
             MethodKind::Isomer,
             MethodKind::IsomerQp,

@@ -13,21 +13,12 @@ pub enum RefinePolicy {
     Manual,
 }
 
-/// Which optimizer computes the subpopulation weights.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TrainingMethod {
-    /// The paper's analytic solution to the penalized QP (Problem 3):
-    /// `w* = (Q + λAᵀA)⁻¹ λAᵀs`. One factorization, no iterations.
-    AnalyticPenalty,
-    /// The standard constrained QP of Theorem 1 solved iteratively (ADMM).
-    /// Kept for the §5.4 comparison; strictly slower.
-    StandardQp,
-}
-
 /// Configuration for a [`QuickSel`](crate::QuickSel) instance.
 #[derive(Debug, Clone)]
 pub struct QuickSelConfig {
-    /// Penalty weight λ of Problem 3. Paper: `10⁶`.
+    /// Penalty weight λ of Problem 3. Paper: `10⁶`. Must be positive and
+    /// finite: the trainer folds each constraint row `r` into its factor
+    /// as an update by `√λ·r`.
     pub lambda: f64,
     /// Relative Tikhonov ridge on the analytic solve (see
     /// [`quicksel_linalg::qp::DEFAULT_RIDGE_REL`] for the rationale); set
@@ -50,20 +41,8 @@ pub struct QuickSelConfig {
     pub overlap_factor: f64,
     /// Retraining cadence.
     pub refine_policy: RefinePolicy,
-    /// Weight optimizer.
-    pub training: TrainingMethod,
     /// RNG seed for point generation and sampling (deterministic runs).
     pub seed: u64,
-    /// Optional hard ceiling on consecutive *warm* (incremental) refines
-    /// before the next refine falls back to a full rebuild that
-    /// resamples subpopulations. Warm refines fire only while the
-    /// subpopulation budget `m` is unchanged (i.e. once the
-    /// `min(4n, 4000)` cap is reached, or under a fixed budget) and
-    /// reuse the cached assembly. Since drift detection (below) now
-    /// decides when a resample is actually needed, the default is
-    /// `usize::MAX` (no blind ceiling); a finite value restores the old
-    /// counter behaviour and 0 disables the incremental path entirely.
-    pub warm_refine_limit: usize,
     /// Budget on retained feedback history (observed queries, their
     /// workload points, and the trainer's cached constraint rows). When
     /// the history exceeds this, the oldest entries are compacted by
@@ -98,9 +77,7 @@ impl Default for QuickSelConfig {
             size_neighbors: 10,
             overlap_factor: 1.2,
             refine_policy: RefinePolicy::EveryQuery,
-            training: TrainingMethod::AnalyticPenalty,
             seed: 0x5EED,
-            warm_refine_limit: usize::MAX,
             max_history: usize::MAX,
             drift_ratio: 3.0,
             drift_patience: 3,
@@ -116,6 +93,10 @@ impl QuickSelConfig {
 
     /// Overrides the subpopulation budget to a fixed `m` (the §5.6 "model
     /// parameter count" study disables the 4·n default).
+    ///
+    /// # Panics
+    ///
+    /// If `m` is 0.
     pub fn with_fixed_subpops(mut self, m: usize) -> Self {
         assert!(m >= 1, "need at least one subpopulation");
         self.subpops_per_query = usize::MAX / 2; // always hit the cap
@@ -149,11 +130,6 @@ mod tests {
         let c = QuickSelConfig::default().with_fixed_subpops(123);
         assert_eq!(c.target_subpops(1), 123);
         assert_eq!(c.target_subpops(100_000), 123);
-    }
-
-    #[test]
-    fn warm_refines_enabled_by_default() {
-        assert!(QuickSelConfig::default().warm_refine_limit > 0);
     }
 
     #[test]

@@ -1,12 +1,12 @@
 //! The [`QuickSel`] estimator: observation buffer + refine loop.
 
 use crate::batch::FrozenModel;
-use crate::config::{QuickSelConfig, RefinePolicy, TrainingMethod};
+use crate::config::{QuickSelConfig, RefinePolicy};
 use crate::model::UniformMixtureModel;
 use crate::snapshot::ModelSnapshot;
 use crate::state::{QuickSelState, StateError};
 use crate::subpop::{build_subpopulations, workload_points};
-use crate::train::{train, IncrementalTrainer, TrainReport};
+use crate::train::{IncrementalTrainer, TrainReport};
 use quicksel_data::{
     Estimate, EstimatorError, Learn, ObservedQuery, RefineOutcome, SnapshotSource,
 };
@@ -46,10 +46,9 @@ pub struct QuickSel {
     last_report: Option<TrainReport>,
     last_error: Option<EstimatorError>,
     version: u64,
-    /// Cached analytic-training state (Cholesky factor, sparse `A`,
-    /// `Aᵀs`). Present after a successful cold analytic refine; serves
-    /// warm incremental refines while the subpopulation budget is
-    /// unchanged.
+    /// Cached training state (Cholesky factor, sparse `A`, `Aᵀs`).
+    /// Present after a successful cold refine; serves warm incremental
+    /// refines while the subpopulation budget is unchanged.
     trainer: Option<IncrementalTrainer>,
     /// Pool points held per query, parallel to `queries` (the pool is
     /// their concatenation, in query order).
@@ -95,7 +94,13 @@ impl QuickSel {
     }
 
     /// Creates an estimator with an explicit configuration.
+    ///
+    /// # Panics
+    ///
+    /// If `config.lambda` is not positive and finite.
     pub fn with_config(domain: Domain, config: QuickSelConfig) -> Self {
+        let lambda = config.lambda;
+        assert!(lambda > 0.0 && lambda.is_finite(), "λ must be positive and finite, got {lambda}");
         let rng = StdRng::seed_from_u64(config.seed);
         Self {
             domain: Arc::new(domain),
@@ -221,15 +226,15 @@ impl QuickSel {
     ///
     /// A **cold** refine runs the full §3.3 + §4 pipeline: sample
     /// `m = min(4n, 4000)` centers from the workload point pool, size
-    /// their supports, assemble the QP, solve. While the subpopulation
-    /// budget `m` is unchanged (and the analytic trainer is active), a
-    /// **warm** refine reuses the cached supports and assembly and folds
-    /// only the new queries in as a rank-k update — orders of magnitude
-    /// cheaper; [`last_report`](Self::last_report) records which path
-    /// fired via `assembly_reused`/`rows_appended`, and the returned
+    /// their supports, assemble the QP, solve it analytically. While the
+    /// subpopulation budget `m` is unchanged, a **warm** refine reuses
+    /// the cached supports and factor and folds only the new queries in
+    /// as a rank-k update — orders of magnitude cheaper;
+    /// [`last_report`](Self::last_report) records which path fired via
+    /// `assembly_reused`/`rows_appended`, and the returned
     /// [`RefineOutcome::Retrained`] carries the `incremental` flag. The
-    /// configured `warm_refine_limit` bounds how long the supports stay
-    /// frozen before a cold resample.
+    /// supports stay frozen until the drift detector (see
+    /// [`QuickSelConfig::drift_patience`]) forces a cold resample.
     ///
     /// Returns [`RefineOutcome::UpToDate`] when there is nothing new to
     /// learn, [`RefineOutcome::KeptPrior`] when all observed predicates
@@ -251,27 +256,11 @@ impl QuickSel {
             }
         }
         let m = self.config.target_subpops(self.queries.len());
-        let warm_ready = self.config.training == TrainingMethod::AnalyticPenalty
-            && !self.force_cold
-            && self.trainer.as_ref().is_some_and(|t| {
-                t.subpop_count() == m
-                    && t.trained_queries() <= self.queries.len()
-                    && t.warm_refines() < self.config.warm_refine_limit
-            });
-        if warm_ready {
-            let trainer = self.trainer.as_mut().expect("warm_ready checked trainer presence");
-            let new_queries = &self.queries[trainer.trained_queries()..];
-            return match trainer.refine(new_queries) {
-                Ok((model, report)) => Ok(self.install(model, report, true)),
-                Err(e) => {
-                    // A failed warm solve falls back to a cold rebuild on
-                    // the next attempt rather than wedging the cache.
-                    self.trainer = None;
-                    let err = EstimatorError::from(e);
-                    self.last_error = Some(err.clone());
-                    Err(err)
-                }
-            };
+        if let Some(trainer) = self.trainer.as_mut().filter(|t| {
+            !self.force_cold && t.subpop_count() == m && t.trained_queries() <= self.queries.len()
+        }) {
+            let (model, report) = trainer.refine(&self.queries[trainer.trained_queries()..]);
+            return Ok(self.install(model, report, true));
         }
 
         let subpops = build_subpopulations(
@@ -295,32 +284,16 @@ impl QuickSel {
         // trainer — a stale cache can never be legitimately reused and
         // would only pin O(m²) dead state.
         self.trainer = None;
-        let cold = if self.config.training == TrainingMethod::AnalyticPenalty
-            && self.config.warm_refine_limit > 0
-        {
-            IncrementalTrainer::cold(
-                &self.domain,
-                subpops,
-                &self.queries,
-                self.config.lambda,
-                self.config.ridge_rel,
-            )
-            .map(|(trainer, model, report)| {
+        match IncrementalTrainer::cold(
+            subpops,
+            &self.queries,
+            self.config.lambda,
+            self.config.ridge_rel,
+        ) {
+            Ok((trainer, model, report)) => {
                 self.trainer = Some(trainer);
-                (model, report)
-            })
-        } else {
-            train(
-                &self.domain,
-                subpops,
-                &self.queries,
-                self.config.training,
-                self.config.lambda,
-                self.config.ridge_rel,
-            )
-        };
-        match cold {
-            Ok((model, report)) => Ok(self.install(model, report, false)),
+                Ok(self.install(model, report, false))
+            }
             Err(e) => {
                 let err = EstimatorError::from(e);
                 self.last_error = Some(err.clone());
@@ -534,13 +507,18 @@ impl QuickSel {
     }
 
     /// Rebuilds an estimator from an exported capture, validating every
-    /// cross-field invariant first (dimensionalities, finite weights,
-    /// positive support volumes, trainer/query consistency). Inconsistent
-    /// captures — hand-edited, corrupted past the checksums, or from a
-    /// buggy encoder — reject with a typed [`StateError`] instead of
-    /// panicking in a model constructor downstream.
+    /// cross-field invariant first (a positive finite λ,
+    /// dimensionalities, finite weights, positive support volumes,
+    /// trainer/query consistency). Inconsistent captures — hand-edited,
+    /// corrupted past the checksums, or from a buggy encoder — reject
+    /// with a typed [`StateError`] instead of panicking in a model
+    /// constructor downstream.
     pub fn try_from_state(state: QuickSelState) -> Result<Self, StateError> {
         let invalid = |context: &'static str| StateError::Invalid { context };
+        let lambda = state.config.lambda;
+        if !(lambda > 0.0 && lambda.is_finite()) {
+            return Err(invalid("configured lambda is not positive and finite"));
+        }
         let dim = state.domain.dim();
         for q in &state.queries {
             if q.rect.dim() != dim {
@@ -754,7 +732,8 @@ pub struct QuickSelBuilder {
 }
 
 impl QuickSelBuilder {
-    /// Penalty weight λ of Problem 3 (paper: `10⁶`).
+    /// Penalty weight λ of Problem 3 (paper: `10⁶`); must be positive
+    /// and finite, or [`build`](Self::build) panics.
     pub fn lambda(mut self, lambda: f64) -> Self {
         self.config.lambda = lambda;
         self
@@ -803,15 +782,6 @@ impl QuickSelBuilder {
         self
     }
 
-    /// Maximum consecutive warm (incremental) refines before a full
-    /// rebuild resamples subpopulations; 0 disables the incremental
-    /// path. The default (`usize::MAX`) leaves resampling to drift
-    /// detection instead of a blind counter.
-    pub fn warm_refine_limit(mut self, limit: usize) -> Self {
-        self.config.warm_refine_limit = limit;
-        self
-    }
-
     /// Budget on retained feedback history; older entries compact by
     /// merging once it is exceeded. `usize::MAX` (the default) retains
     /// everything.
@@ -831,12 +801,6 @@ impl QuickSelBuilder {
     /// `usize::MAX` disables drift detection.
     pub fn drift_patience(mut self, patience: usize) -> Self {
         self.config.drift_patience = patience;
-        self
-    }
-
-    /// Weight optimizer (analytic penalty vs. iterative standard QP).
-    pub fn training(mut self, method: TrainingMethod) -> Self {
-        self.config.training = method;
         self
     }
 
@@ -860,6 +824,10 @@ impl QuickSelBuilder {
     }
 
     /// Builds the estimator.
+    ///
+    /// # Panics
+    ///
+    /// As [`QuickSel::with_config`]: if λ is not positive and finite.
     pub fn build(self) -> QuickSel {
         QuickSel::with_config(self.domain, self.config)
     }
@@ -868,7 +836,6 @@ impl QuickSelBuilder {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::TrainingMethod;
     use quicksel_data::datasets::gaussian::gaussian_table;
     use quicksel_data::workload::{CenterMode, QueryGenerator, RectWorkload, ShiftMode};
     use quicksel_data::{mean_rel_error_pct, Table};
@@ -1026,9 +993,7 @@ mod tests {
             .size_neighbors(4)
             .overlap_factor(1.5)
             .refine_policy(RefinePolicy::EveryK(10))
-            .training(TrainingMethod::StandardQp)
             .seed(99)
-            .warm_refine_limit(7)
             .max_history(500)
             .drift_ratio(4.0)
             .drift_patience(5)
@@ -1042,14 +1007,18 @@ mod tests {
         assert_eq!(c.size_neighbors, 4);
         assert_eq!(c.overlap_factor, 1.5);
         assert_eq!(c.refine_policy, RefinePolicy::EveryK(10));
-        assert_eq!(c.training, TrainingMethod::StandardQp);
         assert_eq!(c.seed, 99);
-        assert_eq!(c.warm_refine_limit, 7);
         assert_eq!(c.max_history, 500);
         assert_eq!(c.drift_ratio, 4.0);
         assert_eq!(c.drift_patience, 5);
         let pinned = QuickSel::builder(domain()).fixed_subpops(64).build();
         assert_eq!(pinned.config().target_subpops(1_000_000), 64);
+    }
+
+    #[test]
+    #[should_panic(expected = "λ must be positive and finite")]
+    fn zero_lambda_is_refused_at_construction() {
+        QuickSel::builder(domain()).lambda(0.0).build();
     }
 
     #[test]
@@ -1073,30 +1042,6 @@ mod tests {
         assert_eq!(qs.version(), 2);
         // Both observations are reproduced by the warm-refined model.
         assert!((qs.estimate(&Rect::from_bounds(&[(2.0, 7.0), (2.0, 7.0)])) - 0.4).abs() < 0.05);
-    }
-
-    #[test]
-    fn warm_refine_limit_forces_cold_resample() {
-        let mut qs = QuickSel::builder(domain())
-            .refine_policy(RefinePolicy::Manual)
-            .fixed_subpops(8)
-            .warm_refine_limit(2)
-            .build();
-        let mut outcomes = Vec::new();
-        for i in 0..5 {
-            let lo = (i % 3) as f64;
-            qs.observe(&ObservedQuery::new(
-                Rect::from_bounds(&[(lo, lo + 4.0), (0.0, 6.0)]),
-                0.2 + 0.1 * (i % 4) as f64,
-            ));
-            outcomes.push(qs.refine().unwrap());
-        }
-        let incremental: Vec<bool> = outcomes
-            .iter()
-            .map(|o| matches!(o, RefineOutcome::Retrained { incremental: true, .. }))
-            .collect();
-        // cold, warm, warm (limit reached), cold (resample), warm.
-        assert_eq!(incremental, vec![false, true, true, false, true], "{outcomes:?}");
     }
 
     #[test]
@@ -1158,24 +1103,6 @@ mod tests {
         assert_eq!(qs.drift_resamples(), 0);
     }
 
-    #[test]
-    fn zero_warm_limit_disables_incremental_path() {
-        let mut qs = QuickSel::builder(domain())
-            .refine_policy(RefinePolicy::Manual)
-            .fixed_subpops(8)
-            .warm_refine_limit(0)
-            .build();
-        for i in 0..3 {
-            let lo = i as f64;
-            qs.observe(&ObservedQuery::new(Rect::from_bounds(&[(lo, lo + 4.0), (0.0, 6.0)]), 0.3));
-            let outcome = qs.refine().unwrap();
-            assert!(
-                matches!(outcome, RefineOutcome::Retrained { incremental: false, .. }),
-                "{outcome:?}"
-            );
-        }
-    }
-
     fn learning_run(table: &Table, train_n: usize, cfg: QuickSelConfig) -> f64 {
         let mut gen =
             RectWorkload::new(table.domain().clone(), 7, ShiftMode::Random, CenterMode::DataRow)
@@ -1229,18 +1156,6 @@ mod tests {
             many < few * 0.9,
             "error should drop with data: 10 queries → {few}%, 150 queries → {many}%"
         );
-    }
-
-    #[test]
-    fn standard_qp_training_also_learns() {
-        let table = gaussian_table(2, 0.4, 10_000, 35);
-        let cfg = QuickSelConfig {
-            training: TrainingMethod::StandardQp,
-            refine_policy: RefinePolicy::EveryK(30),
-            ..Default::default()
-        };
-        let err = learning_run(&table, 60, cfg);
-        assert!(err < 60.0, "relative error {err}%");
     }
 
     #[test]

@@ -68,9 +68,9 @@ pub mod train;
 
 pub use assembly::SubpopGrid;
 pub use batch::FrozenModel;
-pub use config::{QuickSelConfig, RefinePolicy, TrainingMethod};
+pub use config::{QuickSelConfig, RefinePolicy};
 pub use estimator::{QuickSel, QuickSelBuilder};
 pub use model::UniformMixtureModel;
 pub use snapshot::ModelSnapshot;
 pub use state::{QuickSelState, StateError, TrainerState};
-pub use train::{build_qp, build_qp_pruned, train, IncrementalTrainer, TrainReport};
+pub use train::{build_qp, IncrementalTrainer, TrainReport};

@@ -71,8 +71,6 @@ pub struct TrainerState {
     pub lambda: f64,
     /// Absolute ridge baked into the cached system at the cold build.
     pub ridge_abs: f64,
-    /// Warm refines served since the cold build.
-    pub warm_refines: usize,
     /// True for a capture decoded from a format that carried Woodbury
     /// pending rows (v1 or v2) and had some: `factor_lower` then lacks
     /// those rows, so a restore refactors the system, assembled fresh.

@@ -1,25 +1,22 @@
 //! Training: matrix assembly (Theorem 1) and weight solving (§4.2).
 //!
-//! Two assembly paths exist: the naive all-pairs transcription
-//! ([`build_qp`], kept as the equivalence reference and the
-//! `train_throughput` bench's baseline) and the grid-pruned SoA path
-//! ([`build_qp_pruned`] / [`SubpopGrid`]) that [`train`] and the
-//! estimator use. On top of the cold path, [`IncrementalTrainer`] keeps
-//! the Cholesky factor and the sparse constraint matrix between refines:
-//! when the subpopulation set is unchanged, a refine folds only the new
-//! queries' `A` rows into the factor (in-place Givens updates) and solves
-//! with two triangular substitutions, skipping both the O(n·m²) Gram
-//! rebuild and the O(m³) factorization.
+//! [`IncrementalTrainer`] is the one trainer: the analytic solve of the
+//! penalized QP (Problem 3). Its cold build assembles through the
+//! grid-pruned SoA path ([`SubpopGrid`]); the naive all-pairs
+//! transcription [`build_qp`] is kept as the equivalence reference and
+//! the `train_throughput` bench's baseline. Between refines the trainer
+//! keeps the Cholesky factor and the sparse constraint matrix: when the
+//! subpopulation set is unchanged, a refine folds only the new queries'
+//! `A` rows into the factor (in-place Givens updates) and solves with
+//! two triangular substitutions, skipping both the O(n·m²) Gram rebuild
+//! and the O(m³) factorization.
 
 use crate::assembly::SubpopGrid;
-use crate::config::TrainingMethod;
 use crate::model::UniformMixtureModel;
 use crate::state::{StateError, TrainerState};
 use quicksel_data::ObservedQuery;
 use quicksel_geometry::{Domain, Rect};
-use quicksel_linalg::{
-    solve_analytic, AdmmQp, CsrMatrix, DMatrix, LinalgError, QpProblem, UpdatableCholesky,
-};
+use quicksel_linalg::{CsrMatrix, DMatrix, LinalgError, QpProblem, UpdatableCholesky};
 use std::time::{Duration, Instant};
 
 /// Diagnostics from one training run.
@@ -36,8 +33,6 @@ pub struct TrainReport {
     pub solve_time: Duration,
     /// Constraint violation `‖Aw − s‖∞` of the returned weights.
     pub constraint_violation: f64,
-    /// Iterations used (0 for the analytic path).
-    pub iterations: usize,
     /// True when this run reused the cached factor and constraint matrix
     /// instead of rebuilding from scratch.
     pub assembly_reused: bool,
@@ -62,9 +57,10 @@ pub struct TrainReport {
 ///   implicit full-domain query `(B0, 1)` (every weight fully inside `B0`),
 /// * `s_i` — the observed selectivities.
 ///
-/// The training path itself uses the grid-pruned [`build_qp_pruned`];
-/// this O(m²·d) transcription is retained as the equivalence-suite
-/// reference and the pre-optimization bench baseline.
+/// The trainer itself assembles through the grid-pruned [`SubpopGrid`],
+/// whose entries match these exactly; this O(m²·d) transcription is
+/// retained as the equivalence-suite reference and the pre-optimization
+/// bench baseline.
 pub fn build_qp(_domain: &Domain, subpops: &[Rect], queries: &[ObservedQuery]) -> QpProblem {
     let m = subpops.len();
     let n = queries.len() + 1; // +1 for (B0, 1)
@@ -106,55 +102,6 @@ pub fn build_qp(_domain: &Domain, subpops: &[Rect], queries: &[ObservedQuery]) -
     QpProblem::new(q, a, s).expect("assembled shapes are consistent by construction")
 }
 
-/// Grid-pruned SoA assembly of the same QP; entries match [`build_qp`]
-/// exactly (see the [`crate::assembly`] module docs for the equivalence
-/// contract).
-pub fn build_qp_pruned(_domain: &Domain, subpops: &[Rect], queries: &[ObservedQuery]) -> QpProblem {
-    SubpopGrid::new(subpops).assemble_qp(queries)
-}
-
-/// Trains a uniform mixture model on `subpops` against `queries`.
-///
-/// `method` selects the paper's analytic penalty solution or the iterative
-/// standard-QP baseline; `lambda` and `ridge_rel` only apply to the
-/// former. Assembly goes through the grid-pruned path either way.
-pub fn train(
-    domain: &Domain,
-    subpops: Vec<Rect>,
-    queries: &[ObservedQuery],
-    method: TrainingMethod,
-    lambda: f64,
-    ridge_rel: f64,
-) -> Result<(UniformMixtureModel, TrainReport), LinalgError> {
-    let t0 = Instant::now();
-    let qp = build_qp_pruned(domain, &subpops, queries);
-    let assemble_time = t0.elapsed();
-
-    let t1 = Instant::now();
-    let (weights, iterations) = match method {
-        TrainingMethod::AnalyticPenalty => (solve_analytic(&qp, lambda, ridge_rel)?, 0),
-        TrainingMethod::StandardQp => {
-            let report = AdmmQp::default().solve(&qp)?;
-            (report.w, report.iterations)
-        }
-    };
-    let solve_time = t1.elapsed();
-
-    let report = TrainReport {
-        num_subpops: subpops.len(),
-        num_constraints: qp.num_constraints(),
-        assemble_time,
-        solve_time,
-        constraint_violation: qp.constraint_violation(&weights),
-        iterations,
-        assembly_reused: false,
-        rows_appended: qp.num_constraints(),
-        evicted_rows: 0,
-        history_len: 0,
-    };
-    Ok((UniformMixtureModel::new(subpops, weights), report))
-}
-
 /// Analytic trainer with a cached factor for incremental refines.
 ///
 /// [`cold`](Self::cold) runs the full pruned assembly + factorization
@@ -165,8 +112,8 @@ pub fn train(
 /// system and folds into the factor as an in-place rank-1 update, and
 /// history compaction folds evicted rows back out as downdates. `Q` and
 /// `AᵀA` are pure functions of the supports and of `A`, so they are not
-/// kept: where an update cannot apply (a downdate that fails, λ ≤ 0, or
-/// a restored capture that still carries Woodbury pending rows), the
+/// kept: where an update cannot apply (a downdate that fails, or a
+/// restored capture that still carries Woodbury pending rows), the
 /// system is assembled fresh, `Q` from the grid and `AᵀA` from `A`, and
 /// refactored.
 ///
@@ -187,18 +134,21 @@ pub struct IncrementalTrainer {
     /// Absolute ridge ε baked into the cached system at the cold build;
     /// refactors reuse it so the answered system never shifts mid-cache.
     ridge_abs: f64,
-    warm_refines: usize,
 }
 
 impl IncrementalTrainer {
     /// Full (cold) build: pruned assembly, Gram, factorization, solve.
+    ///
+    /// # Panics
+    ///
+    /// If `lambda` is not positive and finite.
     pub fn cold(
-        _domain: &Domain,
         subpops: Vec<Rect>,
         queries: &[ObservedQuery],
         lambda: f64,
         ridge_rel: f64,
     ) -> Result<(Self, UniformMixtureModel, TrainReport), LinalgError> {
+        assert!(lambda > 0.0 && lambda.is_finite(), "λ must be positive and finite, got {lambda}");
         let m = subpops.len();
         let t0 = Instant::now();
         let grid = SubpopGrid::new(&subpops);
@@ -227,7 +177,7 @@ impl IncrementalTrainer {
             system.add_diagonal(ridge_abs);
         }
         let factor = UpdatableCholesky::factor(system)?;
-        let trainer = Self { subpops, grid, a, s, ats, factor, lambda, ridge_abs, warm_refines: 0 };
+        let trainer = Self { subpops, grid, a, s, ats, factor, lambda, ridge_abs };
         let weights = trainer.solve_weights();
         let solve_time = t1.elapsed();
 
@@ -237,7 +187,6 @@ impl IncrementalTrainer {
             assemble_time,
             solve_time,
             constraint_violation: trainer.violation(&weights),
-            iterations: 0,
             assembly_reused: false,
             rows_appended: trainer.a.rows(),
             evicted_rows: 0,
@@ -270,13 +219,6 @@ impl IncrementalTrainer {
         self.factor.solve(&rhs)
     }
 
-    /// Refactors the freshly assembled system, for where an in-place
-    /// update cannot apply (see the type docs).
-    fn refactor(&mut self) -> Result<(), LinalgError> {
-        self.factor = Self::fresh_factor(&self.grid, &self.a, self.lambda, self.ridge_abs)?;
-        Ok(())
-    }
-
     fn violation(&self, weights: &[f64]) -> f64 {
         let aw = self.a.matvec(weights);
         aw.iter().zip(&self.s).fold(0.0, |acc, (x, t)| acc.max((x - t).abs()))
@@ -298,18 +240,10 @@ impl IncrementalTrainer {
         self.a.rows() - 1
     }
 
-    /// Warm refines served since the cold build.
-    pub fn warm_refines(&self) -> usize {
-        self.warm_refines
-    }
-
     /// Warm refine: folds `new_queries`' constraint rows into the cached
     /// factor and re-solves without reassembling Q/A, recomputing the
     /// Gram product, or refactoring.
-    pub fn refine(
-        &mut self,
-        new_queries: &[ObservedQuery],
-    ) -> Result<(UniformMixtureModel, TrainReport), LinalgError> {
+    pub fn refine(&mut self, new_queries: &[ObservedQuery]) -> (UniformMixtureModel, TrainReport) {
         let m = self.subpops.len();
         let t0 = Instant::now();
         let mut scratch = self.grid.scratch();
@@ -327,19 +261,12 @@ impl IncrementalTrainer {
             self.a.push_gathered(scratch.nonzeros(), row);
             self.s.push(query.selectivity);
         }
-        // Non-positive λ refactors instead: `λ·rᵀr` is then no positive
-        // update, while a refactor of `Q + λAᵀA` is exact for any λ.
-        if self.lambda > 0.0 {
-            self.factor.update(&rows_flat, self.lambda);
-        } else {
-            self.refactor()?;
-        }
+        self.factor.update(&rows_flat, self.lambda);
         let assemble_time = t0.elapsed();
 
         let t1 = Instant::now();
         let weights = self.solve_weights();
         let solve_time = t1.elapsed();
-        self.warm_refines += 1;
 
         let report = TrainReport {
             num_subpops: m,
@@ -347,13 +274,12 @@ impl IncrementalTrainer {
             assemble_time,
             solve_time,
             constraint_violation: self.violation(&weights),
-            iterations: 0,
             assembly_reused: true,
             rows_appended: new_queries.len(),
             evicted_rows: 0,
             history_len: 0,
         };
-        Ok((UniformMixtureModel::new(self.subpops.clone(), weights), report))
+        (UniformMixtureModel::new(self.subpops.clone(), weights), report)
     }
 
     /// Applies one history-compaction edit to the cached system: the
@@ -396,12 +322,9 @@ impl IncrementalTrainer {
         self.s[replaced + 1] = merged.selectivity;
         self.a.remove_row(removed + 1);
         self.s.remove(removed + 1);
-        if self.lambda <= 0.0 {
-            return self.refactor();
-        }
         self.factor.update(&new_row, self.lambda);
         if old_rows.iter().try_for_each(|row| self.factor.downdate(row, self.lambda)).is_err() {
-            self.refactor()?;
+            self.factor = Self::fresh_factor(&self.grid, &self.a, self.lambda, self.ridge_abs)?;
         }
         Ok(())
     }
@@ -419,19 +342,19 @@ impl IncrementalTrainer {
             factor_lower: self.factor.lower(),
             lambda: self.lambda,
             ridge_abs: self.ridge_abs,
-            warm_refines: self.warm_refines,
             legacy_pending_rows: false,
         }
     }
 
     /// Rebuilds a trainer from an exported capture, validating every
     /// structural invariant first — mismatched shapes, non-finite
-    /// entries, or degenerate supports reject with a typed
-    /// [`StateError`] instead of panicking downstream. The subpopulation
-    /// grid is rebuilt deterministically from the captured supports. A
-    /// capture that carried Woodbury pending rows (written before factors
-    /// were updated in place) refactors its system, assembled fresh,
-    /// instead of adopting its factor.
+    /// entries, degenerate supports, or a λ that is not positive and
+    /// finite reject with a typed [`StateError`] instead of panicking
+    /// downstream. The subpopulation grid is rebuilt deterministically
+    /// from the captured supports. A capture that carried Woodbury
+    /// pending rows (written before factors were updated in place)
+    /// refactors its system, assembled fresh, instead of adopting its
+    /// factor.
     pub fn try_from_state(state: TrainerState) -> Result<Self, StateError> {
         let invalid = |context: &'static str| StateError::Invalid { context };
         let m = state.subpops.len();
@@ -468,7 +391,11 @@ impl IncrementalTrainer {
         {
             return Err(invalid("trainer capture contains non-finite entries"));
         }
-        if !(state.lambda.is_finite() && state.ridge_abs.is_finite() && state.ridge_abs >= 0.0) {
+        if !(state.lambda > 0.0
+            && state.lambda.is_finite()
+            && state.ridge_abs.is_finite()
+            && state.ridge_abs >= 0.0)
+        {
             return Err(invalid("trainer capture has invalid lambda/ridge"));
         }
         let grid = SubpopGrid::new(&state.subpops);
@@ -488,7 +415,6 @@ impl IncrementalTrainer {
             factor,
             lambda: state.lambda,
             ridge_abs: state.ridge_abs,
-            warm_refines: state.warm_refines,
         })
     }
 }
@@ -496,7 +422,7 @@ impl IncrementalTrainer {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use quicksel_geometry::Domain;
+    use quicksel_linalg::solve_analytic;
 
     fn domain() -> Domain {
         Domain::of_reals(&[("x", 0.0, 10.0), ("y", 0.0, 10.0)])
@@ -525,6 +451,12 @@ mod tests {
             }
         }
         v
+    }
+
+    /// The from-scratch reference: the analytic solve of the QP assembled
+    /// over `subpops` and `queries`, as a fresh cold build computes it.
+    fn scratch_weights(subpops: &[Rect], queries: &[ObservedQuery]) -> Vec<f64> {
+        solve_analytic(&SubpopGrid::new(subpops).assemble_qp(queries), 1e6, 0.0).unwrap()
     }
 
     #[test]
@@ -563,7 +495,7 @@ mod tests {
         let subs = grid_subpops(&d);
         let queries = quadrant_queries(&d);
         let naive = build_qp(&d, &subs, &queries);
-        let pruned = build_qp_pruned(&d, &subs, &queries);
+        let pruned = SubpopGrid::new(&subs).assemble_qp(&queries);
         assert!(naive.q.max_abs_diff(&pruned.q) <= 1e-12);
         assert!(naive.a.max_abs_diff(&pruned.a) <= 1e-12);
         assert_eq!(naive.s, pruned.s);
@@ -573,11 +505,9 @@ mod tests {
     fn analytic_training_satisfies_observations() {
         let d = domain();
         let queries = quadrant_queries(&d);
-        let (model, report) =
-            train(&d, grid_subpops(&d), &queries, TrainingMethod::AnalyticPenalty, 1e6, 0.0)
-                .unwrap();
+        let (_, model, report) =
+            IncrementalTrainer::cold(grid_subpops(&d), &queries, 1e6, 0.0).unwrap();
         assert!(report.constraint_violation < 1e-3, "violation {}", report.constraint_violation);
-        assert_eq!(report.iterations, 0);
         assert!(!report.assembly_reused);
         assert_eq!(report.rows_appended, report.num_constraints);
         // The model reproduces each training selectivity.
@@ -590,29 +520,10 @@ mod tests {
     }
 
     #[test]
-    fn standard_qp_training_agrees_with_analytic() {
-        let d = domain();
-        let queries = quadrant_queries(&d);
-        let (ma, _) =
-            train(&d, grid_subpops(&d), &queries, TrainingMethod::AnalyticPenalty, 1e6, 0.0)
-                .unwrap();
-        let (ms, rs) =
-            train(&d, grid_subpops(&d), &queries, TrainingMethod::StandardQp, 1e6, 0.0).unwrap();
-        assert!(rs.iterations > 0, "ADMM must iterate");
-        // Both models should reproduce the training constraints.
-        for q in &queries {
-            assert!((ms.estimate(&q.rect) - q.selectivity).abs() < 2e-2);
-            assert!((ma.estimate(&q.rect) - ms.estimate(&q.rect)).abs() < 5e-2);
-        }
-    }
-
-    #[test]
     fn generalization_interpolates_quadrant() {
         let d = domain();
         let queries = quadrant_queries(&d);
-        let (model, _) =
-            train(&d, grid_subpops(&d), &queries, TrainingMethod::AnalyticPenalty, 1e6, 0.0)
-                .unwrap();
+        let (_, model, _) = IncrementalTrainer::cold(grid_subpops(&d), &queries, 1e6, 0.0).unwrap();
         // Unseen query inside the data quadrant should estimate high…
         let inside = Rect::from_bounds(&[(0.0, 5.0), (2.5, 5.0)]);
         // (true value would be 0.5 for uniform-in-quadrant data)
@@ -627,8 +538,7 @@ mod tests {
     #[test]
     fn training_with_no_queries_spreads_mass_uniformly() {
         let d = domain();
-        let (model, _) =
-            train(&d, grid_subpops(&d), &[], TrainingMethod::AnalyticPenalty, 1e6, 0.0).unwrap();
+        let (_, model, _) = IncrementalTrainer::cold(grid_subpops(&d), &[], 1e6, 0.0).unwrap();
         assert!((model.total_weight() - 1.0).abs() < 1e-4);
         // Symmetric supports + only the (B0,1) constraint ⇒ roughly equal
         // per-quadrant mass.
@@ -647,44 +557,21 @@ mod tests {
         // Cold on the first query, then warm refines folding the rest in
         // one at a time.
         let (mut trainer, _, cold_report) =
-            IncrementalTrainer::cold(&d, subs.clone(), first, 1e6, 0.0).unwrap();
+            IncrementalTrainer::cold(subs.clone(), first, 1e6, 0.0).unwrap();
         assert!(!cold_report.assembly_reused);
         let mut warm_model = None;
         for q in rest {
-            let (model, report) = trainer.refine(std::slice::from_ref(q)).unwrap();
+            let (model, report) = trainer.refine(std::slice::from_ref(q));
             assert!(report.assembly_reused);
             assert_eq!(report.rows_appended, 1);
             warm_model = Some(model);
         }
         assert_eq!(trainer.trained_queries(), all.len());
-        assert_eq!(trainer.warm_refines(), rest.len());
 
-        // From-scratch rebuild over the same subpops and full query set.
-        let (scratch_model, _) =
-            train(&d, subs, &all, TrainingMethod::AnalyticPenalty, 1e6, 0.0).unwrap();
+        // From-scratch solve over the same subpops and full query set.
         let warm_model = warm_model.unwrap();
-        for (wi, ws) in warm_model.weights().iter().zip(scratch_model.weights()) {
+        for (wi, ws) in warm_model.weights().iter().zip(&scratch_weights(&subs, &all)) {
             assert!((wi - ws).abs() < 1e-7, "incremental {wi} vs scratch {ws}");
-        }
-    }
-
-    #[test]
-    fn zero_lambda_degenerate_setting_still_trains_incrementally() {
-        // λ = 0 is the no-penalty degenerate setting the one-shot path
-        // accepts (rhs = 0 ⇒ all-zero weights); the incremental trainer
-        // must reproduce it instead of erroring, via the always-refactor
-        // warm path.
-        let d = domain();
-        let subs = grid_subpops(&d);
-        let queries = quadrant_queries(&d);
-        let (scratch, _) =
-            train(&d, subs.clone(), &queries, TrainingMethod::AnalyticPenalty, 0.0, 0.0).unwrap();
-        let (mut trainer, _, _) =
-            IncrementalTrainer::cold(&d, subs, &queries[..1], 0.0, 0.0).unwrap();
-        let (warm_model, report) = trainer.refine(&queries[1..]).unwrap();
-        assert!(report.assembly_reused);
-        for (a, b) in warm_model.weights().iter().zip(scratch.weights()) {
-            assert!((a - b).abs() < 1e-9, "{a} vs {b}");
         }
     }
 
@@ -713,8 +600,7 @@ mod tests {
                 ObservedQuery::new(rect, (i * 17 % 11) as f64 / 20.0)
             })
             .collect();
-        let (trainer, _, _) =
-            IncrementalTrainer::cold(&d, subs.clone(), &queries, 1e6, 0.0).unwrap();
+        let (trainer, _, _) = IncrementalTrainer::cold(subs.clone(), &queries, 1e6, 0.0).unwrap();
         let mut state = trainer.export_state();
         state.factor_lower = DMatrix::identity(subs.len());
         let mut trainer = IncrementalTrainer::try_from_state(state).unwrap();
@@ -724,11 +610,10 @@ mod tests {
         queries[0] = merged;
         queries.remove(1);
 
-        let (warm, _) = trainer.refine(&[]).unwrap();
-        let (scratch, _) =
-            train(&d, subs, &queries, TrainingMethod::AnalyticPenalty, 1e6, 0.0).unwrap();
-        let scale = scratch.weights().iter().fold(0.0f64, |m, w| m.max(w.abs()));
-        for (wi, ws) in warm.weights().iter().zip(scratch.weights()) {
+        let (warm, _) = trainer.refine(&[]);
+        let scratch = scratch_weights(&subs, &queries);
+        let scale = scratch.iter().fold(0.0f64, |m, w| m.max(w.abs()));
+        for (wi, ws) in warm.weights().iter().zip(&scratch) {
             assert!((wi - ws).abs() < 1e-8 * scale, "refactored {wi} vs scratch {ws}");
         }
     }
@@ -751,7 +636,7 @@ mod tests {
             })
             .collect();
         let (mut trainer, _, _) =
-            IncrementalTrainer::cold(&d, subs.clone(), &queries, 1e6, 0.0).unwrap();
+            IncrementalTrainer::cold(subs.clone(), &queries, 1e6, 0.0).unwrap();
         let merged = ObservedQuery::new(queries[0].rect.hull(&queries[1].rect), {
             (queries[0].selectivity + queries[1].selectivity) / 2.0
         });
@@ -761,10 +646,8 @@ mod tests {
 
         let mut edited: Vec<ObservedQuery> = queries[2..].to_vec();
         edited.insert(0, merged);
-        let (warm_model, _) = trainer.refine(&[]).unwrap();
-        let (scratch_model, _) =
-            train(&d, subs.clone(), &edited, TrainingMethod::AnalyticPenalty, 1e6, 0.0).unwrap();
-        for (wi, ws) in warm_model.weights().iter().zip(scratch_model.weights()) {
+        let (warm_model, _) = trainer.refine(&[]);
+        for (wi, ws) in warm_model.weights().iter().zip(&scratch_weights(&subs, &edited)) {
             assert!((wi - ws).abs() < 1e-6, "edited {wi} vs scratch {ws}");
         }
 
@@ -782,10 +665,8 @@ mod tests {
                 break;
             }
         }
-        let (warm_model, _) = trainer.refine(&[]).unwrap();
-        let (scratch_model, _) =
-            train(&d, subs, &current, TrainingMethod::AnalyticPenalty, 1e6, 0.0).unwrap();
-        for (wi, ws) in warm_model.weights().iter().zip(scratch_model.weights()) {
+        let (warm_model, _) = trainer.refine(&[]);
+        for (wi, ws) in warm_model.weights().iter().zip(&scratch_weights(&subs, &current)) {
             assert!((wi - ws).abs() < 1e-5, "after many edits {wi} vs scratch {ws}");
         }
     }

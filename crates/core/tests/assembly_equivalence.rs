@@ -2,7 +2,7 @@
 //!
 //! The contract under test (see `quicksel_core::assembly`): for any
 //! subpopulation set and any observed-query set, the grid-pruned
-//! `build_qp_pruned` produces the same `Q`, `A`, and `s` as the naive
+//! `SubpopGrid::assemble_qp` produces the same `Q`, `A`, and `s` as the naive
 //! all-pairs `build_qp` — within the issue-level `1e-12` bound, and in
 //! fact comparing equal, because every written entry is the same
 //! dimension-ordered product and every pruned pair is a zero the naive
@@ -12,7 +12,7 @@
 
 use proptest::prelude::*;
 use quicksel_core::subpop::size_subpopulations;
-use quicksel_core::train::{build_qp, build_qp_pruned};
+use quicksel_core::train::build_qp;
 use quicksel_core::SubpopGrid;
 use quicksel_data::ObservedQuery;
 use quicksel_geometry::{Domain, Rect};
@@ -50,7 +50,7 @@ fn queries_from_raw(raw: &[(f64, f64, f64)], dim: usize) -> Vec<ObservedQuery> {
 
 fn assert_assembly_equivalent(d: &Domain, subpops: &[Rect], queries: &[ObservedQuery]) {
     let naive = build_qp(d, subpops, queries);
-    let pruned = build_qp_pruned(d, subpops, queries);
+    let pruned = SubpopGrid::new(subpops).assemble_qp(queries);
     assert_eq!(naive.num_params(), pruned.num_params());
     assert_eq!(naive.num_constraints(), pruned.num_constraints());
     let dq = naive.q.max_abs_diff(&pruned.q);

@@ -11,12 +11,13 @@
 
 use proptest::prelude::*;
 use quicksel_core::subpop::{size_subpopulations, size_subpopulations_reference};
-use quicksel_core::train::{train, IncrementalTrainer};
-use quicksel_core::{QuickSel, RefinePolicy, TrainingMethod};
+use quicksel_core::train::IncrementalTrainer;
+use quicksel_core::{QuickSel, RefinePolicy, SubpopGrid, UniformMixtureModel};
 use quicksel_data::datasets::gaussian::gaussian_table;
 use quicksel_data::workload::{CenterMode, QueryGenerator, RectWorkload, ShiftMode};
 use quicksel_data::{Estimate, Learn, ObservedQuery, RefineOutcome};
 use quicksel_geometry::{Domain, Rect};
+use quicksel_linalg::solve_analytic;
 
 fn workload(seed: u64, n: usize) -> (quicksel_data::Table, Vec<ObservedQuery>) {
     let table = gaussian_table(2, 0.4, 8_000, seed);
@@ -32,29 +33,31 @@ fn workload(seed: u64, n: usize) -> (quicksel_data::Table, Vec<ObservedQuery>) {
 #[test]
 fn incremental_weights_match_from_scratch_rebuild() {
     let (table, queries) = workload(401, 24);
-    let domain = table.domain().clone();
     // Fix the subpop set for both paths: size it from the first batch's
     // workload points via a throwaway estimator's pipeline.
-    let mut seeder =
-        QuickSel::builder(domain.clone()).refine_policy(RefinePolicy::Manual).seed(9).build();
+    let mut seeder = QuickSel::builder(table.domain().clone())
+        .refine_policy(RefinePolicy::Manual)
+        .seed(9)
+        .build();
     seeder.observe_batch(&queries[..8]);
     seeder.refine().unwrap();
     let subpops = seeder.model().unwrap().rects().to_vec();
 
     let (mut trainer, _, _) =
-        IncrementalTrainer::cold(&domain, subpops.clone(), &queries[..8], 1e6, 0.0).unwrap();
+        IncrementalTrainer::cold(subpops.clone(), &queries[..8], 1e6, 0.0).unwrap();
     let mut warm = None;
     for chunk in queries[8..].chunks(4) {
-        let (model, report) = trainer.refine(chunk).unwrap();
+        let (model, report) = trainer.refine(chunk);
         assert!(report.assembly_reused);
         assert_eq!(report.rows_appended, chunk.len());
         warm = Some(model);
     }
     let warm = warm.unwrap();
 
-    let (scratch, scratch_report) =
-        train(&domain, subpops, &queries, TrainingMethod::AnalyticPenalty, 1e6, 0.0).unwrap();
-    assert!(!scratch_report.assembly_reused);
+    // The from-scratch reference: the analytic solve of the QP assembled
+    // over the same subpops and the full query set.
+    let qp = SubpopGrid::new(&subpops).assemble_qp(&queries);
+    let scratch = UniformMixtureModel::new(subpops, solve_analytic(&qp, 1e6, 0.0).unwrap());
     let scale: f64 = scratch.weights().iter().map(|w| w.abs()).fold(1e-9, f64::max);
     for (wi, ws) in warm.weights().iter().zip(scratch.weights()) {
         assert!(
@@ -77,7 +80,7 @@ fn incremental_weights_match_from_scratch_rebuild() {
 /// `incremental: true` + `assembly_reused`, and the warm model keeps
 /// satisfying its training constraints.
 #[test]
-fn estimator_warm_refines_report_reuse_and_stay_accurate() {
+fn estimator_warm_refine_reports_reuse_and_stays_accurate() {
     let (table, queries) = workload(402, 30);
     let mut qs = QuickSel::builder(table.domain().clone())
         .refine_policy(RefinePolicy::Manual)
@@ -115,15 +118,14 @@ fn estimator_warm_refines_report_reuse_and_stay_accurate() {
 /// rows) must not break the warm path.
 #[test]
 fn warm_refine_accepts_degenerate_rows() {
-    let d = Domain::of_reals(&[("x", 0.0, 10.0), ("y", 0.0, 10.0)]);
     let subpops = vec![
         Rect::from_bounds(&[(0.0, 5.0), (0.0, 5.0)]),
         Rect::from_bounds(&[(4.0, 9.0), (4.0, 9.0)]),
     ];
     let first = [ObservedQuery::new(Rect::from_bounds(&[(0.0, 5.0), (0.0, 5.0)]), 0.6)];
-    let (mut trainer, _, _) = IncrementalTrainer::cold(&d, subpops, &first, 1e6, 0.0).unwrap();
+    let (mut trainer, _, _) = IncrementalTrainer::cold(subpops, &first, 1e6, 0.0).unwrap();
     let degenerate = ObservedQuery::new(Rect::from_bounds(&[(3.0, 3.0), (0.0, 10.0)]), 0.0);
-    let (model, report) = trainer.refine(std::slice::from_ref(&degenerate)).unwrap();
+    let (model, report) = trainer.refine(std::slice::from_ref(&degenerate));
     assert!(report.assembly_reused);
     assert_eq!(report.rows_appended, 1);
     // The all-zero row constrains nothing; the model still satisfies the

@@ -247,7 +247,6 @@ fn cold_factor_equals_the_dense_reference_factorization() {
     use quicksel_core::IncrementalTrainer;
 
     let (lambda, ridge_rel) = (1e6, 1e-5);
-    let d = domain(2);
     let subpops = supports(2, 400);
     let obs = queries(2, 160);
     let (factor, weights) = with_pool(&ThreadPool::new(1), || {
@@ -261,7 +260,7 @@ fn cold_factor_equals_the_dense_reference_factorization() {
     });
     for threads in THREAD_COUNTS {
         let (trainer, model, _) = with_pool(&ThreadPool::new(threads), || {
-            IncrementalTrainer::cold(&d, subpops.clone(), &obs, lambda, ridge_rel).expect("cold")
+            IncrementalTrainer::cold(subpops.clone(), &obs, lambda, ridge_rel).expect("cold")
         });
         assert!(
             trainer.export_state().factor_lower == factor,

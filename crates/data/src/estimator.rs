@@ -136,7 +136,7 @@ pub fn validate_batch(batch: &[ObservedQuery]) -> Result<(), EstimatorError> {
 #[derive(Debug, Clone, PartialEq)]
 pub enum EstimatorError {
     /// The training solver failed (singular or ill-conditioned system,
-    /// iteration budget exhausted, shape mismatch).
+    /// shape mismatch).
     Solver(LinalgError),
     /// A feedback observation was rejected before training.
     InvalidFeedback {

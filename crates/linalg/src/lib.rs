@@ -51,13 +51,6 @@ pub enum LinalgError {
         /// Human-readable description of the mismatch.
         context: &'static str,
     },
-    /// An iterative solver failed to converge within its iteration budget.
-    DidNotConverge {
-        /// Number of iterations performed.
-        iterations: usize,
-        /// Residual at exit.
-        residual: f64,
-    },
 }
 
 impl std::fmt::Display for LinalgError {
@@ -68,9 +61,6 @@ impl std::fmt::Display for LinalgError {
             }
             LinalgError::Singular { pivot } => write!(f, "singular matrix at pivot {pivot}"),
             LinalgError::ShapeMismatch { context } => write!(f, "shape mismatch: {context}"),
-            LinalgError::DidNotConverge { iterations, residual } => {
-                write!(f, "did not converge after {iterations} iterations (residual {residual:e})")
-            }
         }
     }
 }

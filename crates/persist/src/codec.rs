@@ -18,7 +18,7 @@
 
 use crate::format::{write_container, Container, PutBytes, Reader};
 use crate::PersistError;
-use quicksel_core::{QuickSelConfig, QuickSelState, RefinePolicy, TrainerState, TrainingMethod};
+use quicksel_core::{QuickSelConfig, QuickSelState, RefinePolicy, TrainerState};
 use quicksel_data::ObservedQuery;
 use quicksel_geometry::{ColumnMeta, ColumnType, Domain, Interval, Rect};
 use quicksel_linalg::{CsrMatrix, DMatrix};
@@ -47,6 +47,20 @@ pub const STATE_MAGIC: [u8; 4] = *b"QSES";
 ///   and v2 containers still decode: their `Q` and `AᵀA` are skipped
 ///   unread and their dense `A` converted; a capture that carried pending
 ///   rows is marked, and restoring it refactors its system.
+///
+/// Three slots of every version are reserved: they once held knobs of a
+/// second training path, and the estimator now has one trainer. The
+/// encoder writes the values under which an older build behaves as this
+/// one does, and the decoder reads them and ignores them:
+///
+/// * the config's training tag, written as 0 (the analytic solve). A
+///   decoder still refuses a tag other than 0 or 1. A capture with tag 1
+///   (the standard QP, solved by ADMM) has no trainer section, since that
+///   path cached none, so its next refine is a cold analytic build.
+/// * the config's warm-refine limit, written as `usize::MAX` (no cap). A
+///   capture with a finite limit (v1 wrote 64) restores without it: the
+///   drift detector alone decides when a refine resamples cold.
+/// * the trainer's warm-refine count, written as 0.
 pub const STATE_VERSION: u16 = 3;
 
 const SEC_DOMAIN: [u8; 4] = *b"DOMN";
@@ -160,12 +174,9 @@ fn put_config(out: &mut Vec<u8>, c: &QuickSelConfig) {
         }
         RefinePolicy::Manual => out.put_u32(2),
     }
-    match c.training {
-        TrainingMethod::AnalyticPenalty => out.put_u32(0),
-        TrainingMethod::StandardQp => out.put_u32(1),
-    }
+    out.put_u32(0); // reserved: training tag
     out.put_u64(c.seed);
-    out.put_usize(c.warm_refine_limit);
+    out.put_usize(usize::MAX); // reserved: warm-refine limit
     out.put_usize(c.max_history);
     out.put_f64(c.drift_ratio);
     out.put_usize(c.drift_patience);
@@ -185,13 +196,11 @@ fn get_config(r: &mut Reader<'_>, version: u16) -> Result<QuickSelConfig, Persis
         2 => RefinePolicy::Manual,
         _ => return Err(PersistError::Invalid { context: "unknown refine policy tag" }),
     };
-    let training = match r.u32("training tag")? {
-        0 => TrainingMethod::AnalyticPenalty,
-        1 => TrainingMethod::StandardQp,
-        _ => return Err(PersistError::Invalid { context: "unknown training method tag" }),
-    };
+    if r.u32("training tag")? > 1 {
+        return Err(PersistError::Invalid { context: "unknown training method tag" });
+    }
     let seed = r.u64("seed")?;
-    let warm_refine_limit = r.usize("warm_refine_limit")?;
+    r.usize("warm-refine limit")?;
     // v1 predates bounded history and drift detection: restore those
     // knobs to values that reproduce v1 behaviour exactly (unbounded
     // history; drift defaults match what a default-configured v1
@@ -211,9 +220,7 @@ fn get_config(r: &mut Reader<'_>, version: u16) -> Result<QuickSelConfig, Persis
         size_neighbors,
         overlap_factor,
         refine_policy,
-        training,
         seed,
-        warm_refine_limit,
         max_history,
         drift_ratio,
         drift_patience,
@@ -324,7 +331,7 @@ fn put_trainer(out: &mut Vec<u8>, t: &TrainerState) {
     put_lower_triangle(out, &t.factor_lower);
     out.put_f64(t.lambda);
     out.put_f64(t.ridge_abs);
-    out.put_usize(t.warm_refines);
+    out.put_usize(0); // reserved: warm-refine count
 }
 
 fn get_trainer(r: &mut Reader<'_>, version: u16) -> Result<TrainerState, PersistError> {
@@ -342,7 +349,7 @@ fn get_trainer(r: &mut Reader<'_>, version: u16) -> Result<TrainerState, Persist
     let factor_lower = get_lower_triangle(r)?;
     let lambda = r.f64("trainer lambda")?;
     let ridge_abs = r.f64("trainer ridge")?;
-    let warm_refines = r.usize("warm refines")?;
+    r.usize("warm-refine count")?;
     Ok(TrainerState {
         subpops,
         a,
@@ -351,7 +358,6 @@ fn get_trainer(r: &mut Reader<'_>, version: u16) -> Result<TrainerState, Persist
         factor_lower,
         lambda,
         ridge_abs,
-        warm_refines,
         legacy_pending_rows: false,
     })
 }
@@ -426,7 +432,7 @@ fn get_legacy_trainer(
     }
     let lambda = r.f64("trainer lambda")?;
     let ridge_abs = r.f64("trainer ridge")?;
-    let warm_refines = r.usize("warm refines")?;
+    r.usize("warm-refine count")?;
     if version >= 2 {
         skip_f64s(r, "pending signs")?;
     }
@@ -438,7 +444,6 @@ fn get_legacy_trainer(
         factor_lower,
         lambda,
         ridge_abs,
-        warm_refines,
         legacy_pending_rows: pending_rank > 0,
     })
 }

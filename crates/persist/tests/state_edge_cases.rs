@@ -6,8 +6,7 @@
 
 use proptest::prelude::*;
 use quicksel_core::{
-    IncrementalTrainer, QuickSel, QuickSelState, RefinePolicy, StateError, SubpopGrid,
-    TrainerState, TrainingMethod,
+    IncrementalTrainer, QuickSel, QuickSelState, RefinePolicy, StateError, SubpopGrid, TrainerState,
 };
 use quicksel_data::{Estimate, Learn, ObservedQuery, RefineOutcome};
 use quicksel_geometry::{Domain, Interval, Rect};
@@ -178,12 +177,28 @@ fn hostile_states_are_rejected_before_reaching_the_core() {
     short_log.pending_since_refine = 0;
     assert!(matches!(QuickSel::try_from_state(short_log), Err(StateError::Invalid { .. })));
 
+    // λ must be positive and finite, in the config and in the trainer: a
+    // trainer folds rows into its factor scaled by √λ.
+    for lambda in [0.0, -1.0, f64::NAN] {
+        let mut bad = good.clone();
+        bad.config.lambda = lambda;
+        let refused = matches!(QuickSel::try_from_state(bad), Err(StateError::Invalid { .. }));
+        assert!(refused, "config λ {lambda} was accepted");
+    }
+    for lambda in [0.0, -1.0] {
+        let mut bad = good.clone();
+        bad.trainer.as_mut().expect("trained").lambda = lambda;
+        let refused = matches!(QuickSel::try_from_state(bad), Err(StateError::Invalid { .. }));
+        assert!(refused, "trainer λ {lambda} was accepted");
+    }
+
     // The unmodified state still loads — the rejections above are about
     // the mutations, not the fixture.
     assert!(QuickSel::try_from_state(good).is_ok());
 }
 
-/// The trainer fields that v1 and v2 captures carried and v3 dropped.
+/// The trainer fields that v1 and v2 captures carried and v3 dropped,
+/// and the warm-refine count they wrote.
 struct LegacyTrainer {
     q: DMatrix,
     gram: DMatrix,
@@ -193,21 +208,24 @@ struct LegacyTrainer {
     pending_solved: Vec<f64>,
     pending_signs: Vec<f64>,
     pending_rank: usize,
+    warm_refine_count: usize,
 }
 
 impl LegacyTrainer {
     /// What a build of that era wrote beside `t`: `Q` and `AᵀA`
-    /// (assembled fresh here), the factor, and no pending rows.
+    /// (assembled fresh here), the factor, no pending rows, and no warm
+    /// refines yet.
     fn of(t: &TrainerState) -> Self {
         Self {
             q: SubpopGrid::new(&t.subpops).assemble_q(),
             gram: t.a.to_dense().gram(),
             factor_lower: t.factor_lower.clone(),
-            solver_scale: if t.lambda > 0.0 { t.lambda } else { 1.0 },
+            solver_scale: t.lambda,
             pending_rows: Vec::new(),
             pending_solved: Vec::new(),
             pending_signs: Vec::new(),
             pending_rank: 0,
+            warm_refine_count: 0,
         }
     }
 }
@@ -248,7 +266,7 @@ fn legacy_trainer_section(t: &TrainerState, legacy: &LegacyTrainer, version: u16
     buf.put_usize(legacy.pending_rank);
     buf.put_f64(t.lambda);
     buf.put_f64(t.ridge_abs);
-    buf.put_usize(t.warm_refines);
+    buf.put_usize(legacy.warm_refine_count);
     if version >= 2 {
         put_f64s(&mut buf, &legacy.pending_signs);
     }
@@ -270,13 +288,17 @@ fn with_trainer_section(bytes: &[u8], version: u16, trainer: &[u8]) -> Vec<u8> {
     write_container(STATE_MAGIC, version, &sections)
 }
 
+/// The warm-refine limit every v1 build wrote: its default.
+const V1_WARM_REFINE_LIMIT: usize = 64;
+
 /// Serializes a capture in the exact **v1** container layout: config
-/// stops after `warm_refine_limit`, MISC stops after the training
+/// stops after the warm-refine limit, MISC stops after the training
 /// version, the trainer carries no pending signs, and there is no
 /// point-count/compaction/drift bookkeeping anywhere. This pins the
 /// pre-bounded-history format byte for byte, so checkpoints written by
-/// older builds keep decoding.
-fn encode_state_v1(state: &QuickSelState, legacy: &LegacyTrainer) -> Vec<u8> {
+/// older builds keep decoding. `training_tag` is 0 for the analytic
+/// solve and 1 for the standard QP.
+fn encode_state_v1(state: &QuickSelState, training_tag: u32, legacy: &LegacyTrainer) -> Vec<u8> {
     let mut domain = Vec::new();
     encode_domain(&mut domain, &state.domain);
 
@@ -297,12 +319,9 @@ fn encode_state_v1(state: &QuickSelState, legacy: &LegacyTrainer) -> Vec<u8> {
         }
         RefinePolicy::Manual => config.put_u32(2),
     }
-    match c.training {
-        TrainingMethod::AnalyticPenalty => config.put_u32(0),
-        TrainingMethod::StandardQp => config.put_u32(1),
-    }
+    config.put_u32(training_tag);
     config.put_u64(c.seed);
-    config.put_usize(c.warm_refine_limit);
+    config.put_usize(V1_WARM_REFINE_LIMIT);
 
     let mut queries = Vec::new();
     queries.put_usize(state.queries.len());
@@ -369,8 +388,11 @@ fn v1_checkpoints_still_decode_and_recover() {
     let state = est.export_state();
     assert_eq!(state.compacted_len, 0, "fixture must be v1-expressible");
     let t = state.trainer.as_ref().unwrap();
+    // The trainer has used up the limit v1 wrote; the limit is ignored
+    // on restore.
+    let legacy = LegacyTrainer { warm_refine_count: V1_WARM_REFINE_LIMIT, ..LegacyTrainer::of(t) };
 
-    let v1_bytes = encode_state_v1(&state, &LegacyTrainer::of(t));
+    let v1_bytes = encode_state_v1(&state, 0, &legacy);
     let decoded = decode_state(&v1_bytes).expect("v1 container must decode");
 
     // Migration fills the new fields with v1 semantics, and the dense
@@ -394,8 +416,9 @@ fn v1_checkpoints_still_decode_and_recover() {
     }
     assert_eq!(restored.observed_count(), est.observed_count());
 
-    // …that resumes **warm**: the cached trainer survived migration, so
-    // the first post-restore refine folds new feedback incrementally.
+    // …that resumes **warm**: the cached trainer survived migration, and
+    // no refine cap came with it, so the first post-restore refine folds
+    // new feedback incrementally.
     restored.observe_batch(&(0..3).map(|j| obs(900 + j)).collect::<Vec<_>>());
     match restored.refine().expect("post-migration refine") {
         RefineOutcome::Retrained { incremental, .. } => assert!(incremental),
@@ -415,8 +438,30 @@ fn v1_point_pool_mismatch_is_rejected() {
     let mut state = est.export_state();
     state.point_pool.pop();
     let legacy = LegacyTrainer::of(state.trainer.as_ref().unwrap());
-    let v1_bytes = encode_state_v1(&state, &legacy);
+    let v1_bytes = encode_state_v1(&state, 0, &legacy);
     assert!(matches!(decode_state(&v1_bytes), Err(PersistError::Invalid { .. })));
+}
+
+#[test]
+fn v1_standard_qp_captures_restore_to_the_analytic_solve() {
+    // An estimator configured for the standard QP (training tag 1) kept a
+    // model but cached no trainer.
+    let mut state = trained(16, 3).export_state();
+    let legacy = LegacyTrainer::of(state.trainer.as_ref().unwrap());
+    state.trainer = None;
+    let refit = |training_tag| {
+        let bytes = encode_state_v1(&state, training_tag, &legacy);
+        let mut restored = QuickSel::load_state(&bytes).expect("the capture restores");
+        restored.observe_batch(&[obs(800), obs(801)]);
+        let outcome = restored.refine().expect("post-restore refine");
+        assert!(matches!(outcome, RefineOutcome::Retrained { incremental: false, .. }));
+        restored.model().expect("retrained").weights().to_vec()
+    };
+    // Its next refine is the cold analytic build a tag-0 capture gets.
+    assert_eq!(refit(1), refit(0));
+    // Any other tag is refused.
+    let unknown = encode_state_v1(&state, 2, &legacy);
+    assert!(matches!(decode_state(&unknown), Err(PersistError::Invalid { .. })));
 }
 
 #[test]
@@ -428,7 +473,7 @@ fn v1_absurd_pending_rank_is_a_typed_error() {
     let state = est.export_state();
     let mut legacy = LegacyTrainer::of(state.trainer.as_ref().unwrap());
     legacy.pending_rank = 1 << 40;
-    let v1_bytes = encode_state_v1(&state, &legacy);
+    let v1_bytes = encode_state_v1(&state, 0, &legacy);
     assert!(matches!(decode_state(&v1_bytes), Err(PersistError::Invalid { .. })));
 }
 
@@ -526,7 +571,7 @@ fn capture_with_woodbury_pending_rows_restores_and_resumes_warm() {
     let rhs: Vec<f64> = t.ats.iter().map(|v| v * t.lambda).collect();
     let fresh = solve_spd(&system, &rhs).unwrap();
     let mut trainer = IncrementalTrainer::try_from_state(t).expect("a pending capture restores");
-    let (model, report) = trainer.refine(&[]).unwrap();
+    let (model, report) = trainer.refine(&[]);
     assert!(report.assembly_reused);
     let scale = fresh.iter().fold(0.0f64, |m, w| m.max(w.abs()));
     for (w, f) in model.weights().iter().zip(&fresh) {
@@ -635,7 +680,8 @@ struct V3Trainer {
     factor: Vec<f64>,
     lambda: f64,
     ridge_abs: f64,
-    warm_refines: u64,
+    /// The reserved warm-refine count.
+    reserved_count: u64,
 }
 
 impl V3Trainer {
@@ -657,7 +703,7 @@ impl V3Trainer {
             factor,
             lambda: t.lambda,
             ridge_abs: t.ridge_abs,
-            warm_refines: t.warm_refines as u64,
+            reserved_count: 0,
         }
     }
 
@@ -691,7 +737,7 @@ impl V3Trainer {
         }
         buf.put_f64(self.lambda);
         buf.put_f64(self.ridge_abs);
-        buf.put_u64(self.warm_refines);
+        buf.put_u64(self.reserved_count);
         buf
     }
 }
@@ -741,6 +787,8 @@ fn hostile_v3_trainer_sections_are_typed_errors() {
     let truncated =
         |section: Vec<u8>| matches!(load(&section), Some(PersistError::Truncated { .. }));
     assert!(load(&good.encode()).is_none(), "the unedited section loads");
+    // The reserved warm-refine count is read and ignored.
+    assert!(load(&edited(&|t| t.reserved_count = 7)).is_none());
 
     // A column at or past m.
     assert!(invalid(edited(&|t| *t.rows[1].1.last_mut().unwrap() = m)));

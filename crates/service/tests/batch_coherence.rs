@@ -23,7 +23,7 @@ fn sharded(shards: usize) -> ShardedService<QuickSel> {
     })
 }
 
-fn train(svc: &ShardedService<QuickSel>, n: usize) {
+fn feed(svc: &ShardedService<QuickSel>, n: usize) {
     let feedback: Vec<ObservedQuery> = (0..n)
         .map(|i| {
             let lo = (i % 7) as f64;
@@ -68,7 +68,7 @@ fn probes() -> Vec<Rect> {
 fn sharded_batches_equal_per_rect_scalar() {
     for shards in [1usize, 2, 4] {
         let svc = sharded(shards);
-        train(&svc, 24);
+        feed(&svc, 24);
         let probes = probes();
         let batched = svc.estimate_many(&probes);
         assert_eq!(batched.len(), probes.len());
@@ -82,7 +82,7 @@ fn sharded_batches_equal_per_rect_scalar() {
 #[test]
 fn batched_blend_equals_per_rect_scalar_blend() {
     let svc = sharded(3);
-    train(&svc, 30);
+    feed(&svc, 30);
     let wides: Vec<Rect> = (0..6)
         .map(|i| {
             let hi = 8.0 + (i % 3) as f64;
@@ -160,7 +160,7 @@ fn cross_shard_blend_of_batched_results_equals_scalar_blend_weights() {
     // Blend weights must come from *published* per-shard state: a fixed
     // version ⇒ identical batched and scalar blends, repeatedly.
     let svc = sharded(2);
-    train(&svc, 16);
+    feed(&svc, 16);
     let wide = Rect::from_bounds(&[(0.0, 10.0), (0.0, 10.0)]);
     let version = svc.version();
     let scalar = reference_blend(&svc, &wide);

@@ -178,7 +178,7 @@ fn recovered_service_matches_an_uninterrupted_run_going_forward() {
 }
 
 #[test]
-fn recovery_resumes_warm_refines() {
+fn recovery_resumes_refining_warm() {
     let scratch = Scratch::new("warm");
     // checkpoint_rows = 2: every batch checkpoints, so recovery starts
     // from the checkpointed trainer with no WAL tail.

@@ -114,7 +114,6 @@ pub use quicksel_service as service;
 pub use quicksel_baselines::{AutoHist, AutoSample, Isomer, IsomerQp, QueryModel, STHoles};
 pub use quicksel_core::{
     FrozenModel, ModelSnapshot, QuickSel, QuickSelBuilder, QuickSelConfig, RefinePolicy,
-    TrainingMethod,
 };
 pub use quicksel_data::{
     Estimate, EstimatorError, Learn, ObservedQuery, RefineOutcome, SnapshotSource, Table,
