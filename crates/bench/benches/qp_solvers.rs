@@ -22,7 +22,7 @@ fn make_problem(n_queries: usize) -> QpProblem {
     }
     let m = (4 * n_queries).min(4000);
     let subpops = build_subpopulations(table.domain(), &pool, m, 10, 1.2, &mut rng);
-    build_qp(table.domain(), &subpops, &queries)
+    build_qp(&subpops, &queries)
 }
 
 fn bench_solvers(c: &mut Criterion) {

@@ -82,7 +82,7 @@ fn centers(w: &Workload, m: usize) -> Vec<Vec<f64>> {
 /// naive all-pairs assembly, dense Gram, reference Cholesky solve.
 fn cold_naive(w: &Workload, centers: &[Vec<f64>], n: usize) -> (Vec<Rect>, Vec<f64>, f64) {
     let subpops = size_subpopulations_reference(&w.domain, centers, 10, 1.2);
-    let qp = build_qp(&w.domain, &subpops, &w.queries[..n]);
+    let qp = build_qp(&subpops, &w.queries[..n]);
     // solve_analytic as it was before blocked Cholesky: same algebra,
     // reference factorization + reference substitution.
     let gram = qp.a.gram();
@@ -135,7 +135,7 @@ fn main() {
             assert_eq!(format!("{a}"), format!("{b}"), "sizing paths diverged");
         }
         let probe_n = n.min(64); // full QP equivalence is O(n·m); sample it
-        let naive_qp = build_qp(&w.domain, &ref_subpops, &w.queries[..probe_n]);
+        let naive_qp = build_qp(&ref_subpops, &w.queries[..probe_n]);
         let pruned_qp = SubpopGrid::new(&ref_subpops).assemble_qp(&w.queries[..probe_n]);
         assert!(naive_qp.q.max_abs_diff(&pruned_qp.q) <= 1e-12, "Q diverged");
         assert!(naive_qp.a.max_abs_diff(&pruned_qp.a) <= 1e-12, "A diverged");

@@ -39,7 +39,7 @@ fn main() {
                 pool.extend(workload_points(&q.rect, 10, &mut rng));
             }
             let subpops = build_subpopulations(table.domain(), &pool, m, 10, 1.2, &mut rng);
-            let qp = build_qp(table.domain(), &subpops, &train);
+            let qp = build_qp(&subpops, &train);
             for ridge_exp in [0i32, -9, -7, -5, -3] {
                 let lambda = 1e6;
                 let mut sys = qp.a.gram();

@@ -19,12 +19,16 @@ fn main() {
     pool.warm_up();
     println!("threads      {:>8}", pool.threads());
     // The update kernel and the estimate kernel run their AVX2 builds
-    // exactly when the host has AVX2.
+    // exactly when the host has AVX2; the vector kernels (and the factor's
+    // trailing update) their AVX2+FMA builds when it also has FMA.
     #[cfg(target_arch = "x86_64")]
-    let avx2 = std::arch::is_x86_feature_detected!("avx2");
+    let (avx2, fma) =
+        (std::arch::is_x86_feature_detected!("avx2"), std::arch::is_x86_feature_detected!("fma"));
     #[cfg(not(target_arch = "x86_64"))]
-    let avx2 = false;
-    println!("avx2 clones  {:>8}", if avx2 { "run" } else { "off" });
+    let (avx2, fma) = (false, false);
+    let on = |b: bool| if b { "run" } else { "off" };
+    println!("avx2 clones  {:>8}", on(avx2));
+    println!("fma clones   {:>8}", on(avx2 && fma));
 
     let table = gaussian_table(3, 0.5, 20_000, 7171);
     let mut gen =

@@ -592,7 +592,7 @@ mod tests {
             ObservedQuery::new(Rect::from_bounds(&[(-5.0, 0.0), (0.0, 5.0)]), 0.0), // touching edge
             ObservedQuery::new(Rect::from_bounds(&[(20.0, 30.0), (20.0, 30.0)]), 0.0), // disjoint
         ];
-        let naive = build_qp(&domain(), &subs, &queries);
+        let naive = build_qp(&subs, &queries);
         let pruned = SubpopGrid::new(&subs).assemble_qp(&queries);
         assert_eq!(naive.q.max_abs_diff(&pruned.q), 0.0, "Q diverged");
         assert_eq!(naive.a.max_abs_diff(&pruned.a), 0.0, "A diverged");
@@ -633,7 +633,7 @@ mod tests {
         let r = Rect::from_bounds(&[(1.0, 3.0), (1.0, 3.0)]);
         let subs = vec![r.clone(), r.clone(), r];
         let q = SubpopGrid::new(&subs).assemble_q();
-        let naive = build_qp(&domain(), &subs, &[]);
+        let naive = build_qp(&subs, &[]);
         assert_eq!(naive.q.max_abs_diff(&q), 0.0);
     }
 }

@@ -15,7 +15,7 @@ use crate::assembly::SubpopGrid;
 use crate::model::UniformMixtureModel;
 use crate::state::{StateError, TrainerState};
 use quicksel_data::ObservedQuery;
-use quicksel_geometry::{Domain, Rect};
+use quicksel_geometry::Rect;
 use quicksel_linalg::{CsrMatrix, DMatrix, LinalgError, QpProblem, UpdatableCholesky};
 use std::time::{Duration, Instant};
 
@@ -61,7 +61,7 @@ pub struct TrainReport {
 /// whose entries match these exactly; this O(m²·d) transcription is
 /// retained as the equivalence-suite reference and the pre-optimization
 /// bench baseline.
-pub fn build_qp(_domain: &Domain, subpops: &[Rect], queries: &[ObservedQuery]) -> QpProblem {
+pub fn build_qp(subpops: &[Rect], queries: &[ObservedQuery]) -> QpProblem {
     let m = subpops.len();
     let n = queries.len() + 1; // +1 for (B0, 1)
     let inv_vol: Vec<f64> = subpops.iter().map(|g| 1.0 / g.volume()).collect();
@@ -422,13 +422,14 @@ impl IncrementalTrainer {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use quicksel_geometry::Domain;
     use quicksel_linalg::solve_analytic;
 
     fn domain() -> Domain {
         Domain::of_reals(&[("x", 0.0, 10.0), ("y", 0.0, 10.0)])
     }
 
-    fn quadrant_queries(_d: &Domain) -> Vec<ObservedQuery> {
+    fn quadrant_queries() -> Vec<ObservedQuery> {
         // Data entirely in the lower-left quadrant.
         vec![
             ObservedQuery::new(Rect::from_bounds(&[(0.0, 5.0), (0.0, 5.0)]), 1.0),
@@ -463,8 +464,8 @@ mod tests {
     fn qp_shapes_and_symmetry() {
         let d = domain();
         let subs = grid_subpops(&d);
-        let queries = quadrant_queries(&d);
-        let qp = build_qp(&d, &subs, &queries);
+        let queries = quadrant_queries();
+        let qp = build_qp(&subs, &queries);
         assert_eq!(qp.num_params(), 16);
         assert_eq!(qp.num_constraints(), 4); // 3 + B0 row
         for i in 0..16 {
@@ -493,8 +494,8 @@ mod tests {
     fn pruned_qp_matches_naive_reference() {
         let d = domain();
         let subs = grid_subpops(&d);
-        let queries = quadrant_queries(&d);
-        let naive = build_qp(&d, &subs, &queries);
+        let queries = quadrant_queries();
+        let naive = build_qp(&subs, &queries);
         let pruned = SubpopGrid::new(&subs).assemble_qp(&queries);
         assert!(naive.q.max_abs_diff(&pruned.q) <= 1e-12);
         assert!(naive.a.max_abs_diff(&pruned.a) <= 1e-12);
@@ -504,7 +505,7 @@ mod tests {
     #[test]
     fn analytic_training_satisfies_observations() {
         let d = domain();
-        let queries = quadrant_queries(&d);
+        let queries = quadrant_queries();
         let (_, model, report) =
             IncrementalTrainer::cold(grid_subpops(&d), &queries, 1e6, 0.0).unwrap();
         assert!(report.constraint_violation < 1e-3, "violation {}", report.constraint_violation);
@@ -522,7 +523,7 @@ mod tests {
     #[test]
     fn generalization_interpolates_quadrant() {
         let d = domain();
-        let queries = quadrant_queries(&d);
+        let queries = quadrant_queries();
         let (_, model, _) = IncrementalTrainer::cold(grid_subpops(&d), &queries, 1e6, 0.0).unwrap();
         // Unseen query inside the data quadrant should estimate high…
         let inside = Rect::from_bounds(&[(0.0, 5.0), (2.5, 5.0)]);
@@ -551,7 +552,7 @@ mod tests {
     fn incremental_refine_matches_from_scratch() {
         let d = domain();
         let subs = grid_subpops(&d);
-        let all = quadrant_queries(&d);
+        let all = quadrant_queries();
         let (first, rest) = all.split_at(1);
 
         // Cold on the first query, then warm refines folding the rest in

@@ -48,8 +48,8 @@ fn queries_from_raw(raw: &[(f64, f64, f64)], dim: usize) -> Vec<ObservedQuery> {
         .collect()
 }
 
-fn assert_assembly_equivalent(d: &Domain, subpops: &[Rect], queries: &[ObservedQuery]) {
-    let naive = build_qp(d, subpops, queries);
+fn assert_assembly_equivalent(subpops: &[Rect], queries: &[ObservedQuery]) {
+    let naive = build_qp(subpops, queries);
     let pruned = SubpopGrid::new(subpops).assemble_qp(queries);
     assert_eq!(naive.num_params(), pruned.num_params());
     assert_eq!(naive.num_constraints(), pruned.num_constraints());
@@ -66,7 +66,6 @@ fn assert_assembly_equivalent(d: &Domain, subpops: &[Rect], queries: &[ObservedQ
 
 #[test]
 fn touching_and_identical_supports() {
-    let d = domain(2);
     // A row of supports that exactly touch (zero-measure overlap), plus
     // exact duplicates and one containing the others.
     let subpops = vec![
@@ -81,7 +80,7 @@ fn touching_and_identical_supports() {
         ObservedQuery::new(Rect::from_bounds(&[(0.0, 2.0), (0.0, 2.0)]), 0.2),  // == support
         ObservedQuery::new(Rect::from_bounds(&[(-3.0, 0.0), (0.0, 2.0)]), 0.0), // touches edge
     ];
-    assert_assembly_equivalent(&d, &subpops, &queries);
+    assert_assembly_equivalent(&subpops, &queries);
 }
 
 #[test]
@@ -101,7 +100,7 @@ fn clamped_edge_supports() {
         ObservedQuery::new(Rect::from_bounds(&[(0.0, 1.0), (9.0, 10.0), (0.0, 10.0)]), 0.1),
         ObservedQuery::new(Rect::from_bounds(&[(9.9, 10.0), (0.0, 0.1), (2.0, 3.0)]), 0.01),
     ];
-    assert_assembly_equivalent(&d, &subpops, &queries);
+    assert_assembly_equivalent(&subpops, &queries);
 }
 
 #[test]
@@ -109,14 +108,13 @@ fn grid_handles_many_duplicated_cells() {
     // All supports piled into one small region: the grid degenerates to
     // a few hot cells and candidate lists approach all-pairs — values
     // must still match.
-    let d = domain(2);
     let subpops: Vec<Rect> = (0..40)
         .map(|i| {
             let off = (i % 5) as f64 * 0.01;
             Rect::from_bounds(&[(1.0 + off, 1.5 + off), (1.0, 1.5)])
         })
         .collect();
-    assert_assembly_equivalent(&d, &subpops, &[]);
+    assert_assembly_equivalent(&subpops, &[]);
 }
 
 #[test]
@@ -155,7 +153,7 @@ proptest! {
             return Ok(());
         }
         let queries = queries_from_raw(&query_raw, dim);
-        assert_assembly_equivalent(&d, &subpops, &queries);
+        assert_assembly_equivalent(&subpops, &queries);
     }
 
     /// §3.3-shaped supports (sized from random centers, so touching and
@@ -174,6 +172,6 @@ proptest! {
         }
         let subpops = size_subpopulations(&d, &centers, 4, 1.2);
         let queries = queries_from_raw(&query_raw, dim);
-        assert_assembly_equivalent(&d, &subpops, &queries);
+        assert_assembly_equivalent(&subpops, &queries);
     }
 }

@@ -76,10 +76,9 @@ fn queries(dim: usize, n: usize) -> Vec<ObservedQuery> {
 
 /// Asserts the full assembly (`Q`, `A`, `s`) is identical at every
 /// thread count, and identical to the naive all-pairs reference.
-fn assert_assembly_parallel_equivalent(dim: usize, subpops: &[Rect], obs: &[ObservedQuery]) {
-    let d = domain(dim);
+fn assert_assembly_parallel_equivalent(subpops: &[Rect], obs: &[ObservedQuery]) {
     let serial = with_pool(&ThreadPool::new(1), || SubpopGrid::new(subpops).assemble_qp(obs));
-    let naive = build_qp(&d, subpops, obs);
+    let naive = build_qp(subpops, obs);
     assert_eq!(naive.q.max_abs_diff(&serial.q), 0.0, "serial diverged from naive Q");
     assert_eq!(naive.a.max_abs_diff(&serial.a), 0.0, "serial diverged from naive A");
     for threads in THREAD_COUNTS {
@@ -102,7 +101,7 @@ fn assert_assembly_parallel_equivalent(dim: usize, subpops: &[Rect], obs: &[Obse
 fn assembly_is_thread_count_invariant() {
     let subpops = supports(2, 400);
     let obs = queries(2, 160);
-    assert_assembly_parallel_equivalent(2, &subpops, &obs);
+    assert_assembly_parallel_equivalent(&subpops, &obs);
 }
 
 #[test]
@@ -110,7 +109,7 @@ fn assembly_three_dims_odd_sizes() {
     // Sizes deliberately not multiples of any chunk count.
     let subpops = supports(3, 257);
     let obs = queries(3, 67);
-    assert_assembly_parallel_equivalent(3, &subpops, &obs);
+    assert_assembly_parallel_equivalent(&subpops, &obs);
 }
 
 #[test]
@@ -165,7 +164,7 @@ proptest! {
             return Ok(());
         }
         let obs = queries(dim, n);
-        assert_assembly_parallel_equivalent(dim, &subpops, &obs);
+        assert_assembly_parallel_equivalent(&subpops, &obs);
     }
 
     /// Random models and batches: the blocked kernel equals the scalar

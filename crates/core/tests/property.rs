@@ -2,7 +2,7 @@
 //! workloads.
 
 use proptest::prelude::*;
-use quicksel_core::{QuickSel, RefinePolicy};
+use quicksel_core::{FrozenModel, QuickSel, RefinePolicy, UniformMixtureModel};
 use quicksel_data::{Estimate, Learn, ObservedQuery};
 use quicksel_geometry::{Domain, Rect};
 
@@ -72,20 +72,23 @@ proptest! {
         }
     }
 
-    /// Estimation is monotone under query-rectangle growth when the model
-    /// weights are non-negative (growing B can only gain overlap).
+    /// A mixture with non-negative weights (the trained supports,
+    /// reweighted by `|w|`) is monotone under containment, in the scalar
+    /// estimate and in `FrozenModel::estimate_many`. The trained weights
+    /// are often negative, so this says nothing of the trained estimator.
     #[test]
-    fn monotone_when_weights_nonnegative(obs in prop::collection::vec(consistent_observation(), 2..8), probe in arb_rect()) {
+    fn nonnegative_mixture_is_monotone_under_containment(obs in prop::collection::vec(consistent_observation(), 2..8), probe in arb_rect()) {
         let mut qs = QuickSel::new(domain());
         for q in &obs {
             qs.observe(q);
         }
-        let Some(model) = qs.model() else { return Ok(()); };
-        if model.weights().iter().any(|&w| w < 0.0) {
-            return Ok(()); // the relaxation admits small negatives; skip
-        }
+        let trained = qs.model().expect("observations train a model");
+        let weights = trained.weights().iter().map(|w| w.abs()).collect();
+        let model = UniformMixtureModel::new(trained.rects().to_vec(), weights);
         let grown = probe.hull(&Rect::from_bounds(&[(0.0, 9.0), (0.0, 9.0)]));
-        prop_assert!(qs.estimate(&probe) <= qs.estimate(&grown) + 1e-9);
+        prop_assert!(model.estimate_raw(&probe) <= model.estimate_raw(&grown) + 1e-9);
+        let batched = FrozenModel::new(&model).estimate_many(&[probe, grown]);
+        prop_assert!(batched[0] <= batched[1] + 1e-9);
     }
 
     /// Determinism: the same seed and feedback produce identical models.

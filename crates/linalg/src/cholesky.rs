@@ -8,13 +8,14 @@
 //! The factorization is **blocked** (right-looking, [`CHOL_BLOCK`]-wide
 //! panels): the O(n³) bulk of the work is the trailing symmetric update,
 //! which here is a tile-local dot of two contiguous `CHOL_BLOCK`-length
-//! row slices — LLVM auto-vectorizes it and each panel tile is streamed
-//! from L1 instead of re-read from main memory per row, so at QuickSel's
-//! `m = 4000` the factorization runs near memory bandwidth rather than
-//! at the latency of strided scalar loads. The reference unblocked
-//! implementation is kept as [`CholeskyFactor::new_reference`] for the
-//! equivalence suite and the `train_throughput` bench's pre-optimization
-//! baseline.
+//! row slices — four at a time through `vector::dot4`, in an AVX2+FMA
+//! clone of the update loop where the host has both — and each panel
+//! tile is streamed from L1 instead of re-read from main memory per row,
+//! so at QuickSel's `m = 4000` the factorization runs near memory
+//! bandwidth rather than at the latency of strided scalar loads. The
+//! reference unblocked implementation is kept as
+//! [`CholeskyFactor::new_reference`] for the equivalence suite and the
+//! `train_throughput` bench's pre-optimization baseline.
 //!
 //! # Parallel trailing update
 //!
@@ -33,7 +34,7 @@
 //! pins bitwise equality across thread counts.
 
 use crate::matrix::DMatrix;
-use crate::vector::{dot, dot4};
+use crate::vector::{dot, dot4_body};
 use crate::LinalgError;
 use quicksel_parallel::SharedSlice;
 
@@ -140,8 +141,8 @@ impl CholeskyFactor {
 
             // 3. Trailing update A22 -= P·Pᵀ, tiled over column blocks so
             //    each jb-tile of panel rows stays in L1 while every row i
-            //    streams past it. The inner kernel is the unrolled
-            //    multi-accumulator `dot` — a single-chain reduction would
+            //    streams past it. The inner kernel is the fused
+            //    multi-accumulator `dot4` — a single-chain reduction would
             //    pin the whole O(n³) bulk to scalar FP latency.
             //
             //    Output rows partition across the pool: every job writes
@@ -324,12 +325,50 @@ fn panel_solve_row(row: &mut [f64], diag: &[f64; CHOL_BLOCK * CHOL_BLOCK], kb: u
 /// with the serial sweep's exact tiling and `dot`/`dot4` kernels (see
 /// step 3 in [`CholeskyFactor::factor_lower`]). Writes touch only `rows`' cells
 /// at columns `>= k0 + kb`; reads touch only columns `[k0, k0 + kb)`,
-/// which no trailing update writes.
+/// which no trailing update writes. Runs the AVX2+FMA build of the loop
+/// where the host has both; it computes the same bits as the portable
+/// one (see the `vector` module docs).
 ///
 /// # Safety
 /// Concurrent callers over the same matrix must use disjoint `rows`
 /// ranges and must not otherwise access the matrix.
 unsafe fn trailing_update_rows(
+    data: &SharedSlice<'_, f64>,
+    n: usize,
+    k0: usize,
+    kb: usize,
+    rows: std::ops::Range<usize>,
+) {
+    #[cfg(target_arch = "x86_64")]
+    if crate::vector::fma_clones() {
+        // SAFETY: the host has AVX2 and FMA; the caller keeps the contract.
+        return unsafe { trailing_update_rows_fma(data, n, k0, kb, rows) };
+    }
+    trailing_update_rows_portable(data, n, k0, kb, rows)
+}
+
+/// [`trailing_update_rows_portable`] compiled for AVX2+FMA.
+///
+/// # Safety
+/// As for [`trailing_update_rows`].
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2", enable = "fma")]
+unsafe fn trailing_update_rows_fma(
+    data: &SharedSlice<'_, f64>,
+    n: usize,
+    k0: usize,
+    kb: usize,
+    rows: std::ops::Range<usize>,
+) {
+    trailing_update_rows_portable(data, n, k0, kb, rows)
+}
+
+/// The one source of the trailing update, inlined into both builds.
+///
+/// # Safety
+/// As for [`trailing_update_rows`].
+#[inline(always)]
+unsafe fn trailing_update_rows_portable(
     data: &SharedSlice<'_, f64>,
     n: usize,
     k0: usize,
@@ -351,7 +390,7 @@ unsafe fn trailing_update_rows(
             while j + 4 <= jmax {
                 let s = {
                     let base = |jj: usize| jj * n + k0;
-                    dot4(
+                    dot4_body(
                         &pbuf[..kb],
                         data.slice(base(j)..base(j) + kb),
                         data.slice(base(j + 1)..base(j + 1) + kb),
@@ -505,6 +544,28 @@ mod tests {
         let x = f.solve(&b);
         for (u, v) in x.iter().zip(&x_true) {
             assert!((u - v).abs() < 1e-8, "{u} vs {v}");
+        }
+    }
+
+    #[test]
+    fn dispatched_trailing_update_equals_the_portable_body_bit_for_bit() {
+        // On an AVX2+FMA host the update runs its clone; calling the
+        // portable body by name keeps the plain build under test too.
+        // Panel widths below and above 16, with and without a 4-block
+        // remainder, reach every branch of `dot4` and `dot`.
+        let n = 2 * CHOL_BLOCK + 13;
+        let start: Vec<f64> = (0..n * n).map(|i| ((i * 7919) % 1013) as f64 / 97.0 - 5.0).collect();
+        type Update = unsafe fn(&SharedSlice<'_, f64>, usize, usize, usize, std::ops::Range<usize>);
+        let shapes = [(0, CHOL_BLOCK), (CHOL_BLOCK, CHOL_BLOCK), (5, 3), (9, 15), (2, 17), (1, 30)];
+        for (k0, kb) in shapes {
+            let run = |update: Update| {
+                let mut data = start.clone();
+                // SAFETY: one caller, over every row below the panel.
+                unsafe { update(&SharedSlice::new(&mut data), n, k0, kb, k0 + kb..n) };
+                data.iter().map(|v| v.to_bits()).collect::<Vec<_>>()
+            };
+            let portable = run(trailing_update_rows_portable);
+            assert_eq!(run(trailing_update_rows), portable, "k0={k0} kb={kb}");
         }
     }
 

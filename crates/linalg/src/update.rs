@@ -27,8 +27,10 @@
 //! instruction instead of two. Neither build enables FMA, and Rust
 //! neither contracts `a*b + c` nor reorders float operations, so both
 //! compute the same bits and an update does not depend on the host.
-//! [`solve`](UpdatableCholesky::solve) does: its [`dot`] and [`axpy`]
-//! use FMA on hosts with AVX2+FMA.
+//! Neither does [`solve`](UpdatableCholesky::solve): its [`dot`] and
+//! [`axpy`] fuse with `f64::mul_add`, which rounds once in every build
+//! (see the `vector` module docs). What does depend on the platform is
+//! the rotation's `f64::hypot`, whose precision Rust leaves to libc.
 //!
 //! A rotation walks one column of `L` per step, so the factor is stored
 //! as `Lᵀ` row-major: [`factor`](UpdatableCholesky::factor) and

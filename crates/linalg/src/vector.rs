@@ -1,237 +1,198 @@
 //! Small dense-vector kernels used across the solvers.
+//!
+//! [`dot`], [`dot4`] and [`axpy`] carry the blocked Cholesky factor, the
+//! Gram product and every triangular solve. Each is written once: a
+//! plain unfused loop below 16 elements (8 for `axpy`), and from there on
+//! four-element lane groups accumulated with [`f64::mul_add`] and summed
+//! in a fixed order. On x86-64 each is also compiled with AVX2 and FMA
+//! enabled, and that build runs whenever the host has both. The Cholesky
+//! trailing update inlines `dot4`'s body into an AVX2+FMA clone of its
+//! own loop instead, because a call per four outputs cost the factor
+//! about 8%.
+//!
+//! Rust specifies `mul_add` as IEEE 754 fusedMultiplyAdd, rounded once on
+//! every target, and neither contracts `a*b + c` nor reorders float
+//! operations, so both builds, and every host, compute the same bits.
+//! The plain build's `mul_add` calls libm's `fma`. On an x86-64 host
+//! whose glibc `fma` uses the FMA unit, that made the plain `dot` 4–5×
+//! slower than an unfused loop at n = 64 and 600. On a CPU without FMA,
+//! libm computes `fma` in software; that cost is not measured.
 
 /// Dot product `xᵀy`.
 ///
-/// On x86-64 hosts with AVX2+FMA this dispatches (runtime-detected,
-/// memoized) to a 4×256-bit fused-multiply-add kernel — the blocked
-/// Cholesky's trailing update is a wall of these dots, and the default
-/// SSE2 codegen leaves ~4× of its throughput on the table. The portable
-/// fallback is the 4-way unrolled accumulation. The two paths differ
-/// by FP reassociation and fusion, so a result is bit-stable only
-/// across hosts with the same AVX2+FMA support. The cold Cholesky
-/// factor (through this and [`dot4`]) and every triangular solve
-/// (through this and [`axpy`]) inherit that: a restart or a replica
-/// that replays a WAL tail matches the primary's weights bit for bit
-/// only on a host with the same AVX2+FMA support as the primary's.
+/// From 16 elements on, sixteen fused chains: chain `j` takes the
+/// elements at positions ≡ `j` (mod 16), and the 4-blocks left after the
+/// last full 16-block go to chains 0–3. The chains combine lane by lane,
+/// `(c[l] + c[4+l]) + (c[8+l] + c[12+l])`, then across lanes,
+/// `(l0 + l2) + (l1 + l3)`, and the last `len % 4` products unfused.
 #[inline]
 pub fn dot(x: &[f64], y: &[f64]) -> f64 {
-    // Unconditional: the SIMD path reads y through raw pointers bounded
-    // by x.len(), so a mismatch must fail loudly in release builds too,
-    // never read out of bounds.
     assert_eq!(x.len(), y.len(), "dot operand length mismatch");
     #[cfg(target_arch = "x86_64")]
-    if x.len() >= 16 && x86::fma_enabled() {
-        // SAFETY: gated on runtime AVX2+FMA detection; lengths checked
-        // equal above.
-        return unsafe { x86::dot_avx2_fma(x, y) };
+    if fma_clones() {
+        // SAFETY: the host has AVX2 and FMA, the clone's only target features.
+        return unsafe { dot_fma(x, y) };
     }
-    dot_portable(x, y)
+    dot_body(x, y)
 }
 
-/// Four dot products sharing one left-hand side: `x·y0, x·y1, x·y2,
-/// x·y3`. The blocked Cholesky's trailing update calls this with the
-/// panel row as `x` and four neighbouring output rows as `y*` — the
-/// shared `x` loads amortize across four accumulator chains, which is
-/// worth another ~1.5× over four independent [`dot`] calls.
-#[inline]
-pub fn dot4(x: &[f64], y0: &[f64], y1: &[f64], y2: &[f64], y3: &[f64]) -> [f64; 4] {
-    // Unconditional for the same reason as in [`dot`].
-    let n = x.len();
-    assert!(
-        y0.len() == n && y1.len() == n && y2.len() == n && y3.len() == n,
-        "dot4 operand length mismatch"
-    );
-    #[cfg(target_arch = "x86_64")]
-    if n >= 16 && x86::fma_enabled() {
-        // SAFETY: gated on runtime AVX2+FMA detection; lengths checked
-        // equal above.
-        return unsafe { x86::dot4_avx2_fma(x, y0, y1, y2, y3) };
-    }
-    [dot_portable(x, y0), dot_portable(x, y1), dot_portable(x, y2), dot_portable(x, y3)]
+/// [`dot_body`] compiled for AVX2+FMA.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2", enable = "fma")]
+fn dot_fma(x: &[f64], y: &[f64]) -> f64 {
+    dot_body(x, y)
 }
 
-/// Portable multi-accumulator dot; also the non-x86 / pre-AVX2 path.
-#[inline]
-fn dot_portable(x: &[f64], y: &[f64]) -> f64 {
-    // 4-way unrolled accumulation; keeps the compiler free to vectorize.
-    let mut acc = [0.0f64; 4];
-    let chunks = x.len() / 4;
-    for i in 0..chunks {
-        let b = i * 4;
-        acc[0] += x[b] * y[b];
-        acc[1] += x[b + 1] * y[b + 1];
-        acc[2] += x[b + 2] * y[b + 2];
-        acc[3] += x[b + 3] * y[b + 3];
-    }
-    let mut s = acc[0] + acc[1] + acc[2] + acc[3];
-    for i in chunks * 4..x.len() {
-        s += x[i] * y[i];
+/// The one source of [`dot`], inlined into both builds.
+#[inline(always)]
+fn dot_body(x: &[f64], y: &[f64]) -> f64 {
+    let (xb, xt) = x.as_chunks::<4>();
+    let (yb, yt) = y.as_chunks::<4>();
+    let mut s = if x.len() < 16 {
+        let mut acc = [0.0f64; 4];
+        for (xs, ys) in xb.iter().zip(yb) {
+            for l in 0..4 {
+                acc[l] += xs[l] * ys[l];
+            }
+        }
+        acc[0] + acc[1] + acc[2] + acc[3]
+    } else {
+        let (x16, x4) = xb.as_chunks::<4>();
+        let (y16, y4) = yb.as_chunks::<4>();
+        let mut c = [[0.0f64; 4]; 4];
+        for (xs, ys) in x16.iter().zip(y16) {
+            for g in 0..4 {
+                fma_lanes(&mut c[g], &xs[g], &ys[g]);
+            }
+        }
+        for (xs, ys) in x4.iter().zip(y4) {
+            fma_lanes(&mut c[0], xs, ys);
+        }
+        let lanes = std::array::from_fn(|l| (c[0][l] + c[1][l]) + (c[2][l] + c[3][l]));
+        lane_sum(std::hint::black_box(lanes))
+    };
+    for (xi, yi) in xt.iter().zip(yt) {
+        s += xi * yi;
     }
     s
 }
 
+/// Four dot products sharing one left-hand side, `x·y0 .. x·y3`: the
+/// trailing update's panel row against four output rows, so each load
+/// of `x` feeds four fused groups. From 16 elements on, each output is
+/// one fused 4-lane group over the 4-blocks, summed as in [`dot`], plus
+/// its unfused tail; below that, each is [`dot`]'s unfused loop.
+#[inline]
+pub fn dot4(x: &[f64], y0: &[f64], y1: &[f64], y2: &[f64], y3: &[f64]) -> [f64; 4] {
+    #[cfg(target_arch = "x86_64")]
+    if fma_clones() {
+        // SAFETY: the host has AVX2 and FMA, the clone's only target features.
+        return unsafe { dot4_fma(x, y0, y1, y2, y3) };
+    }
+    dot4_body(x, y0, y1, y2, y3)
+}
+
+/// [`dot4_body`] compiled for AVX2+FMA.
 #[cfg(target_arch = "x86_64")]
-mod x86 {
-    //! Explicit AVX2+FMA lanes for the dot kernel, picked at run time by
-    //! CPU feature detection (no cargo feature needed).
+#[target_feature(enable = "avx2", enable = "fma")]
+fn dot4_fma(x: &[f64], y0: &[f64], y1: &[f64], y2: &[f64], y3: &[f64]) -> [f64; 4] {
+    dot4_body(x, y0, y1, y2, y3)
+}
 
-    use std::arch::x86_64::{
-        _mm256_add_pd, _mm256_castpd256_pd128, _mm256_extractf128_pd, _mm256_fmadd_pd,
-        _mm256_loadu_pd, _mm256_setzero_pd, _mm_add_pd, _mm_add_sd, _mm_cvtsd_f64, _mm_unpackhi_pd,
-    };
-    use std::sync::OnceLock;
-
-    /// Runtime AVX2+FMA detection, memoized.
-    #[inline]
-    pub(super) fn fma_enabled() -> bool {
-        static FMA: OnceLock<bool> = OnceLock::new();
-        *FMA.get_or_init(|| {
-            std::arch::is_x86_feature_detected!("avx2")
-                && std::arch::is_x86_feature_detected!("fma")
-        })
+/// The one source of [`dot4`], inlined into both builds and into both
+/// builds of the Cholesky trailing update.
+#[inline(always)]
+pub(crate) fn dot4_body(x: &[f64], y0: &[f64], y1: &[f64], y2: &[f64], y3: &[f64]) -> [f64; 4] {
+    let n = x.len();
+    assert!([y0, y1, y2, y3].iter().all(|y| y.len() == n), "dot4 operand length mismatch");
+    if n < 16 {
+        return [dot_body(x, y0), dot_body(x, y1), dot_body(x, y2), dot_body(x, y3)];
     }
-
-    /// 4-accumulator FMA dot (16 doubles per iteration) with a scalar
-    /// tail.
-    ///
-    /// # Safety
-    /// The caller must have verified AVX2+FMA support (see
-    /// [`fma_enabled`]).
-    #[target_feature(enable = "avx2", enable = "fma")]
-    pub(super) unsafe fn dot_avx2_fma(x: &[f64], y: &[f64]) -> f64 {
-        let n = x.len();
-        let xp = x.as_ptr();
-        let yp = y.as_ptr();
-        let mut acc0 = _mm256_setzero_pd();
-        let mut acc1 = _mm256_setzero_pd();
-        let mut acc2 = _mm256_setzero_pd();
-        let mut acc3 = _mm256_setzero_pd();
-        let mut i = 0usize;
-        while i + 16 <= n {
-            acc0 = _mm256_fmadd_pd(_mm256_loadu_pd(xp.add(i)), _mm256_loadu_pd(yp.add(i)), acc0);
-            acc1 = _mm256_fmadd_pd(
-                _mm256_loadu_pd(xp.add(i + 4)),
-                _mm256_loadu_pd(yp.add(i + 4)),
-                acc1,
-            );
-            acc2 = _mm256_fmadd_pd(
-                _mm256_loadu_pd(xp.add(i + 8)),
-                _mm256_loadu_pd(yp.add(i + 8)),
-                acc2,
-            );
-            acc3 = _mm256_fmadd_pd(
-                _mm256_loadu_pd(xp.add(i + 12)),
-                _mm256_loadu_pd(yp.add(i + 12)),
-                acc3,
-            );
-            i += 16;
-        }
-        while i + 4 <= n {
-            acc0 = _mm256_fmadd_pd(_mm256_loadu_pd(xp.add(i)), _mm256_loadu_pd(yp.add(i)), acc0);
-            i += 4;
-        }
-        let acc = _mm256_add_pd(_mm256_add_pd(acc0, acc1), _mm256_add_pd(acc2, acc3));
-        let mut s = hsum(acc);
-        while i < n {
-            s += *xp.add(i) * *yp.add(i);
-            i += 1;
-        }
-        s
+    let (xb, xt) = x.as_chunks::<4>();
+    let (b0, t0) = y0.as_chunks::<4>();
+    let (b1, t1) = y1.as_chunks::<4>();
+    let (b2, t2) = y2.as_chunks::<4>();
+    let (b3, t3) = y3.as_chunks::<4>();
+    let mut c = [[0.0f64; 4]; 4];
+    for ((((xs, a0), a1), a2), a3) in xb.iter().zip(b0).zip(b1).zip(b2).zip(b3) {
+        fma_lanes(&mut c[0], xs, a0);
+        fma_lanes(&mut c[1], xs, a1);
+        fma_lanes(&mut c[2], xs, a2);
+        fma_lanes(&mut c[3], xs, a3);
     }
-
-    /// 4-wide FMA `y += alpha·x`.
-    ///
-    /// # Safety
-    /// The caller must have verified AVX2+FMA support (see
-    /// [`fma_enabled`]).
-    #[target_feature(enable = "avx2", enable = "fma")]
-    pub(super) unsafe fn axpy_avx2_fma(alpha: f64, x: &[f64], y: &mut [f64]) {
-        use std::arch::x86_64::{_mm256_set1_pd, _mm256_storeu_pd};
-        let n = x.len();
-        let xp = x.as_ptr();
-        let yp = y.as_mut_ptr();
-        let av = _mm256_set1_pd(alpha);
-        let mut i = 0usize;
-        while i + 4 <= n {
-            let v = _mm256_fmadd_pd(av, _mm256_loadu_pd(xp.add(i)), _mm256_loadu_pd(yp.add(i)));
-            _mm256_storeu_pd(yp.add(i), v);
-            i += 4;
-        }
-        while i < n {
-            *yp.add(i) += alpha * *xp.add(i);
-            i += 1;
-        }
+    let mut out = std::hint::black_box(c).map(lane_sum);
+    for ((((xi, a0), a1), a2), a3) in xt.iter().zip(t0).zip(t1).zip(t2).zip(t3) {
+        out[0] += xi * a0;
+        out[1] += xi * a1;
+        out[2] += xi * a2;
+        out[3] += xi * a3;
     }
+    out
+}
 
-    /// Horizontal sum of a 256-bit accumulator.
-    #[inline]
-    #[target_feature(enable = "avx2")]
-    unsafe fn hsum(acc: std::arch::x86_64::__m256d) -> f64 {
-        let lo = _mm256_castpd256_pd128(acc);
-        let hi = _mm256_extractf128_pd::<1>(acc);
-        let pair = _mm_add_pd(lo, hi);
-        _mm_cvtsd_f64(_mm_add_sd(pair, _mm_unpackhi_pd(pair, pair)))
-    }
+/// Whether the host runs the AVX2+FMA clones (`std` caches the answer).
+#[cfg(target_arch = "x86_64")]
+#[inline]
+pub(crate) fn fma_clones() -> bool {
+    std::arch::is_x86_feature_detected!("avx2") && std::arch::is_x86_feature_detected!("fma")
+}
 
-    /// Four FMA dots sharing the `x` loads (see [`super::dot4`]).
-    ///
-    /// # Safety
-    /// The caller must have verified AVX2+FMA support (see
-    /// [`fma_enabled`]).
-    #[target_feature(enable = "avx2", enable = "fma")]
-    pub(super) unsafe fn dot4_avx2_fma(
-        x: &[f64],
-        y0: &[f64],
-        y1: &[f64],
-        y2: &[f64],
-        y3: &[f64],
-    ) -> [f64; 4] {
-        let n = x.len();
-        let xp = x.as_ptr();
-        let (p0, p1, p2, p3) = (y0.as_ptr(), y1.as_ptr(), y2.as_ptr(), y3.as_ptr());
-        let mut a0 = _mm256_setzero_pd();
-        let mut a1 = _mm256_setzero_pd();
-        let mut a2 = _mm256_setzero_pd();
-        let mut a3 = _mm256_setzero_pd();
-        let mut i = 0usize;
-        while i + 4 <= n {
-            let xv = _mm256_loadu_pd(xp.add(i));
-            a0 = _mm256_fmadd_pd(xv, _mm256_loadu_pd(p0.add(i)), a0);
-            a1 = _mm256_fmadd_pd(xv, _mm256_loadu_pd(p1.add(i)), a1);
-            a2 = _mm256_fmadd_pd(xv, _mm256_loadu_pd(p2.add(i)), a2);
-            a3 = _mm256_fmadd_pd(xv, _mm256_loadu_pd(p3.add(i)), a3);
-            i += 4;
-        }
-        let mut out = [hsum(a0), hsum(a1), hsum(a2), hsum(a3)];
-        while i < n {
-            let xv = *xp.add(i);
-            out[0] += xv * *p0.add(i);
-            out[1] += xv * *p1.add(i);
-            out[2] += xv * *p2.add(i);
-            out[3] += xv * *p3.add(i);
-            i += 1;
-        }
-        out
+/// `acc[l] = x[l]·y[l] + acc[l]`, each rounded once.
+#[inline(always)]
+fn fma_lanes(acc: &mut [f64; 4], x: &[f64; 4], y: &[f64; 4]) {
+    for l in 0..4 {
+        acc[l] = x[l].mul_add(y[l], acc[l]);
     }
 }
 
-/// `y += alpha * x`.
-///
-/// Runtime-dispatched to 4-wide FMA on capable x86-64 hosts (the Gram
-/// accumulation is a wall of these); portable loop elsewhere.
+/// The sum across one 4-lane group: `(l0 + l2) + (l1 + l3)`. The fused
+/// bodies pass their groups through memory ([`std::hint::black_box`])
+/// first: otherwise LLVM's SLP vectorizer builds the loop outward from
+/// this sum, in 128-bit halves for [`dot`] and across the four outputs
+/// for [`dot4`]. Same bits, but a 1.3–3× slower loop.
+#[inline(always)]
+fn lane_sum(l: [f64; 4]) -> f64 {
+    (l[0] + l[2]) + (l[1] + l[3])
+}
+
+/// `y += alpha * x`: from 8 elements on, `y = alpha·x + y` fused per
+/// element in 4-blocks (the Gram product is a wall of these), with an
+/// unfused tail.
 #[inline]
 pub fn axpy(alpha: f64, x: &[f64], y: &mut [f64]) {
-    // Unconditional for the same reason as in [`dot`] — the SIMD path
-    // *writes* through raw pointers bounded by x.len().
     assert_eq!(x.len(), y.len(), "axpy operand length mismatch");
     #[cfg(target_arch = "x86_64")]
-    if x.len() >= 8 && x86::fma_enabled() {
-        // SAFETY: gated on runtime AVX2+FMA detection; lengths checked
-        // equal above.
-        unsafe { x86::axpy_avx2_fma(alpha, x, y) };
+    if fma_clones() {
+        // SAFETY: the host has AVX2 and FMA, the clone's only target features.
+        return unsafe { axpy_fma(alpha, x, y) };
+    }
+    axpy_body(alpha, x, y)
+}
+
+/// [`axpy_body`] compiled for AVX2+FMA.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2", enable = "fma")]
+fn axpy_fma(alpha: f64, x: &[f64], y: &mut [f64]) {
+    axpy_body(alpha, x, y)
+}
+
+/// The one source of [`axpy`], inlined into both builds.
+#[inline(always)]
+fn axpy_body(alpha: f64, x: &[f64], y: &mut [f64]) {
+    if x.len() < 8 {
+        for (yi, xi) in y.iter_mut().zip(x) {
+            *yi += alpha * xi;
+        }
         return;
     }
-    for (yi, xi) in y.iter_mut().zip(x) {
+    let (xb, xt) = x.as_chunks::<4>();
+    let (yb, yt) = y.as_chunks_mut::<4>();
+    for (ys, xs) in yb.iter_mut().zip(xb) {
+        for l in 0..4 {
+            ys[l] = alpha.mul_add(xs[l], ys[l]);
+        }
+    }
+    for (yi, xi) in yt.iter_mut().zip(xt) {
         *yi += alpha * xi;
     }
 }
@@ -283,16 +244,32 @@ mod tests {
         assert_eq!(dot(&x, &x), 7.0);
     }
 
+    /// Deterministic values whose products round, so that a changed
+    /// rounding or summation order shows in the low bits.
+    fn wide(n: usize, seed: usize) -> Vec<f64> {
+        (0..n).map(|i| ((i * 7919 + seed * 104_729) % 1013) as f64 / 97.0 - 5.0).collect()
+    }
+
     #[test]
-    fn dispatched_dot_matches_portable() {
-        // Long enough to engage the explicit-SIMD path where available;
-        // results agree to reassociation tolerance.
-        for n in [16usize, 17, 64, 133] {
-            let x: Vec<f64> = (0..n).map(|i| (i as f64) * 0.37 - 20.0).collect();
-            let y: Vec<f64> = (0..n).map(|i| 5.0 - (i as f64) * 0.11).collect();
-            let d = dot(&x, &y);
-            let p = dot_portable(&x, &y);
-            assert!((d - p).abs() <= 1e-9 * p.abs().max(1.0), "n={n}: {d} vs {p}");
+    fn kernels_give_the_same_bits_in_every_build() {
+        // Lengths 0–200 reach every branch: the unfused short loops, the
+        // 16-blocks, each count of leftover 4-blocks and each scalar
+        // tail. The dispatched calls run the AVX2+FMA clones where the
+        // host has both; the bodies called by name are the plain build,
+        // whose `mul_add` calls libm's `fma`. On such a host this is the
+        // cross-host check.
+        let bits = |v: &[f64]| v.iter().map(|e| e.to_bits()).collect::<Vec<_>>();
+        for n in (0..=200).chain([1000, 1003, 4099]) {
+            let x = wide(n, 1);
+            let [y0, y1, y2, y3] = [2, 3, 4, 5].map(|seed| wide(n, seed));
+            assert_eq!(dot(&x, &y0).to_bits(), dot_body(&x, &y0).to_bits(), "dot n={n}");
+            let four = dot4(&x, &y0, &y1, &y2, &y3);
+            assert_eq!(bits(&four), bits(&dot4_body(&x, &y0, &y1, &y2, &y3)), "dot4 n={n}");
+            let alpha = y2.first().map_or(0.5, |a| a * 1e3);
+            let (mut fused, mut plain) = (y1.clone(), y1);
+            axpy(alpha, &x, &mut fused);
+            axpy_body(alpha, &x, &mut plain);
+            assert_eq!(bits(&fused), bits(&plain), "axpy n={n}");
         }
     }
 

@@ -10,7 +10,7 @@ use quicksel_service::{
     TableId,
 };
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Barrier};
 use std::thread;
 
 fn domain() -> Domain {
@@ -36,11 +36,15 @@ fn readers_see_coherent_snapshots_while_writer_retrains() {
             .build(),
     ));
     let stop = Arc::new(AtomicBool::new(false));
+    // The writer starts only once every reader has read a snapshot, so it
+    // cannot publish all batches before a reader is scheduled.
+    let started = Arc::new(Barrier::new(READERS + 1));
 
     let mut readers = Vec::new();
     for r in 0..READERS {
         let service = Arc::clone(&service);
         let stop = Arc::clone(&stop);
+        let mut started = Some(Arc::clone(&started));
         readers.push(thread::spawn(move || {
             let probe_small = Rect::from_bounds(&[(1.0, 3.0), (1.0, 3.0)]);
             let probe_big = Rect::from_bounds(&[(0.0, 4.0), (0.0, 4.0)]);
@@ -53,6 +57,9 @@ fn readers_see_coherent_snapshots_while_writer_retrains() {
                 last_version = version;
 
                 let snap = service.snapshot();
+                if let Some(started) = started.take() {
+                    started.wait();
+                }
                 // Each answer must be a valid selectivity…
                 let s = snap.estimate(&probe_small);
                 let b = snap.estimate(&probe_big);
@@ -73,6 +80,7 @@ fn readers_see_coherent_snapshots_while_writer_retrains() {
             estimates
         }));
     }
+    started.wait();
 
     // The writer: batches of feedback sweeping the domain, each followed
     // by a retrain + publish.
@@ -189,6 +197,9 @@ fn registry_readers_and_shard_writers_across_tables() {
         .collect();
 
     let stop = Arc::new(AtomicBool::new(false));
+    // The writers start only once every reader has read a version; a
+    // reader then finishes its pass, so none can miss the whole run.
+    let started = &Barrier::new(READERS + 1);
     thread::scope(|scope| {
         // M readers: per-thread cached providers over the shared registry.
         let mut readers = Vec::new();
@@ -196,6 +207,7 @@ fn registry_readers_and_shard_writers_across_tables() {
             let registry = Arc::clone(&registry);
             let table_ids = table_ids.clone();
             let stop = Arc::clone(&stop);
+            let mut started = Some(started);
             readers.push(scope.spawn(move || {
                 let cached = CachedProvider::new(registry);
                 let mut last_versions = vec![0u64; table_ids.len()];
@@ -203,6 +215,9 @@ fn registry_readers_and_shard_writers_across_tables() {
                 while !stop.load(Ordering::Relaxed) {
                     for (k, id) in table_ids.iter().enumerate() {
                         let version = cached.version(id);
+                        if let Some(started) = started.take() {
+                            started.wait();
+                        }
                         assert!(
                             version >= last_versions[k],
                             "reader {r}: version of {id} moved backwards"
@@ -222,6 +237,8 @@ fn registry_readers_and_shard_writers_across_tables() {
                 (estimates, cached.cache_hits())
             }));
         }
+
+        started.wait();
 
         // N writers: one per (table, shard), each feeding its own shard.
         let mut writers = Vec::new();

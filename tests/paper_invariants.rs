@@ -23,7 +23,7 @@ fn pipeline_qp(
         pool.extend(workload_points(&q.rect, 10, &mut rng));
     }
     let subpops = build_subpopulations(table.domain(), &pool, m, 10, 1.2, &mut rng);
-    let qp = build_qp(table.domain(), &subpops, &queries);
+    let qp = build_qp(&subpops, &queries);
     (qp, subpops, queries)
 }
 
