@@ -6,7 +6,7 @@
 //! ```
 //!
 //! Runs the workloads the earlier benches established — cold-train QP
-//! assembly at the paper's `m = 4000` cap (`train_throughput`'s
+//! assembly at the paper's `m = 4000` cap (`train_profile`'s
 //! workload), the full cold train, and B=4096 batched estimation
 //! (`batched_estimate`'s workload) — at thread counts
 //! `{1, 2, 4, max}` through [`quicksel_parallel::with_pool`], and
@@ -37,8 +37,8 @@ use std::time::Instant;
 
 const LAMBDA: f64 = 1e6;
 const RIDGE_REL: f64 = quicksel_linalg::qp::DEFAULT_RIDGE_REL;
-/// `m` for the QP-assembly workload (the paper cap; `train_throughput`'s
-/// headline budget).
+/// `m` for the QP-assembly workload (the paper cap; `train_profile`'s
+/// cold-stage budget).
 const ASSEMBLY_M: usize = 4000;
 /// `m` for the end-to-end cold train (kept smaller so the naive-free
 /// full pipeline — assembly + Gram + factorization — times in seconds).
@@ -55,7 +55,7 @@ struct TrainWorkload {
     queries: Vec<ObservedQuery>,
 }
 
-/// The `train_throughput` workload: gaussian table, §3.3-sized supports.
+/// The `train_profile` workload: gaussian table, §3.3-sized supports.
 fn train_workload(m: usize) -> TrainWorkload {
     let n = m / 4;
     let table = gaussian_table(3, 0.5, 20_000, 7171);

@@ -87,8 +87,8 @@ pub fn size_subpopulations(
 
 /// The pre-optimization sizing path: exact k-NN by computing **all**
 /// m−1 distances per center and fully sorting them. Kept as the
-/// equivalence reference for [`size_subpopulations`] and the
-/// `train_throughput` bench's naive baseline.
+/// equivalence reference for [`size_subpopulations`] (the unit tests
+/// here and `tests/incremental_refine.rs`).
 pub fn size_subpopulations_reference(
     domain: &Domain,
     centers: &[Vec<f64>],

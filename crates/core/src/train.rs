@@ -3,8 +3,8 @@
 //! [`IncrementalTrainer`] is the one trainer: the analytic solve of the
 //! penalized QP (Problem 3). Its cold build assembles through the
 //! grid-pruned SoA path ([`SubpopGrid`]); the naive all-pairs
-//! transcription [`build_qp`] is kept as the equivalence reference and
-//! the `train_throughput` bench's baseline. Between refines the trainer
+//! transcription [`build_qp`] is kept as the equivalence reference of
+//! `tests/assembly_equivalence.rs`. Between refines the trainer
 //! keeps the Cholesky factor and the sparse constraint matrix: when the
 //! subpopulation set is unchanged, a refine folds only the new queries'
 //! `A` rows into the factor (in-place Givens updates) and solves with

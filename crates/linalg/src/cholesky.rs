@@ -14,8 +14,8 @@
 //! so at QuickSel's `m = 4000` the factorization runs near memory
 //! bandwidth rather than at the latency of strided scalar loads. The
 //! reference unblocked implementation is kept as
-//! [`CholeskyFactor::new_reference`] for the equivalence suite and the
-//! `train_throughput` bench's pre-optimization baseline.
+//! [`CholeskyFactor::new_reference`] for the equivalence suite
+//! (`tests/blocked_cholesky.rs` and the unit tests here).
 //!
 //! # Parallel trailing update
 //!
@@ -168,7 +168,7 @@ impl CholeskyFactor {
 
     /// The reference unblocked factorization (the pre-optimization
     /// implementation). Kept for the blocked-vs-reference equivalence
-    /// suite and as the `train_throughput` bench's naive baseline.
+    /// suite (`tests/blocked_cholesky.rs`).
     pub fn new_reference(a: &DMatrix) -> Result<Self, LinalgError> {
         let n = a.rows();
         if a.cols() != n {

@@ -127,7 +127,7 @@ pub struct AdmmSettings {
 
 impl Default for AdmmSettings {
     fn default() -> Self {
-        Self { rho: 1.0, sigma: 1e-6, alpha: 1.6, tol: 1e-6, max_iter: 4000 }
+        Self { rho: 1.0, sigma: 1e-6, alpha: 1.6, tol: 1e-6, max_iter: 20_000 }
     }
 }
 

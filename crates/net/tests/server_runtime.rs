@@ -1,7 +1,8 @@
 //! Server-runtime behavior over real loopback sockets: handshake and
 //! version skew, typed request failures, rate/concurrency admission
 //! control, decode-error handling, idle timeouts, accept-queue
-//! overflow, and graceful shutdown draining in-flight requests.
+//! overflow, graceful shutdown draining in-flight requests, and
+//! concurrent mixed load over a 2-shard table.
 
 use quicksel_core::QuickSel;
 use quicksel_data::ObservedQuery;
@@ -442,4 +443,53 @@ fn observe_stream_retries_through_rate_limits() {
     assert_eq!(outcome.accepted_rows, 24);
     assert!(outcome.retried_batches > 0, "rate limit never engaged");
     assert_eq!(backend.stats().total.queries_ingested, 24);
+}
+
+#[test]
+fn concurrent_mixed_load_over_two_shards_is_error_free() {
+    // Four clients, each on its own connection, over the 2-shard table:
+    // every 10th request a 4-row feedback batch, the rest 8-rect probes.
+    const CLIENTS: usize = 4;
+    const REQUESTS: usize = 100;
+    let (handle, backend) = start(quick_config());
+    let addr = handle.addr();
+    let acks: Vec<(u64, u64)> = std::thread::scope(|scope| {
+        let clients: Vec<_> = (0..CLIENTS)
+            .map(|c| {
+                scope.spawn(move || {
+                    let mut client = NetClient::connect(addr).expect("connect");
+                    let (mut acked, mut watermark) = (0u64, 0u64);
+                    for k in 0..REQUESTS {
+                        let lo = ((c * REQUESTS + k) % 60) as f64 * 0.1;
+                        if k % 10 == 9 {
+                            let batch: Vec<ObservedQuery> = (0..4)
+                                .map(|j| ObservedQuery {
+                                    rect: rect(lo, lo + 1.0 + j as f64 * 0.5),
+                                    selectivity: 0.1 + j as f64 * 0.1,
+                                })
+                                .collect();
+                            let outcome = client.observe_batch("orders", &batch).expect("observe");
+                            acked += u64::from(outcome.accepted_rows);
+                            watermark = watermark.max(outcome.watermark);
+                        } else {
+                            let rects: Vec<Rect> =
+                                (0..8).map(|j| rect(lo, lo + 0.5 + j as f64 * 0.5)).collect();
+                            let values = client.estimate_many("orders", &rects).expect("probe");
+                            assert_eq!(values.len(), 8);
+                        }
+                    }
+                    (acked, watermark)
+                })
+            })
+            .collect();
+        clients.into_iter().map(|c| c.join().expect("client panicked")).collect()
+    });
+
+    let stats = handle.stats();
+    assert_eq!(stats.decode_errors, 0, "load produced decode errors");
+    assert_eq!(stats.errors_sent, 0, "load produced error responses");
+    // Every acked row was ingested exactly once, and the last ack saw them all.
+    let ingested = backend.stats().total.queries_ingested;
+    assert_eq!(acks.iter().map(|a| a.0).sum::<u64>(), ingested);
+    assert_eq!(acks.iter().map(|a| a.1).max(), Some(ingested));
 }

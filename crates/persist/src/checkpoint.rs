@@ -48,6 +48,8 @@ pub const CHECKPOINT_VERSION: u16 = 1;
 const SEC_META: [u8; 4] = *b"META";
 const SEC_LEARNER: [u8; 4] = *b"LRNR";
 const CHECKPOINT_EXT: &str = "qsc";
+/// WAL segment rotation threshold, in bytes.
+const SEGMENT_BYTES: u64 = 4 << 20;
 
 /// Tuning knobs for a shard's durability pipeline.
 #[derive(Debug, Clone)]
@@ -57,8 +59,6 @@ pub struct DurabilityOptions {
     /// Wall-clock interval after which pending rows trigger a checkpoint
     /// even below the row threshold.
     pub checkpoint_interval: Duration,
-    /// WAL segment rotation threshold, in bytes.
-    pub segment_bytes: u64,
     /// How many finished checkpoints to keep (≥ 1); older ones are
     /// deleted after each successful write.
     pub keep_checkpoints: usize,
@@ -86,7 +86,6 @@ impl Default for DurabilityOptions {
         Self {
             checkpoint_rows: 4096,
             checkpoint_interval: Duration::from_secs(60),
-            segment_bytes: 4 << 20,
             keep_checkpoints: 2,
             sync_wal: false,
             degrade_after: 3,
@@ -149,13 +148,8 @@ impl ShardDurability {
     /// sequence 1, no checkpoints.
     pub fn create(dir: &Path, opts: DurabilityOptions) -> Result<Self, PersistError> {
         fs::create_dir_all(dir)?;
-        let wal = WalWriter::open_with_faults(
-            dir,
-            1,
-            opts.segment_bytes,
-            opts.sync_wal,
-            opts.fault.clone(),
-        )?;
+        let wal =
+            WalWriter::open_with_faults(dir, 1, SEGMENT_BYTES, opts.sync_wal, opts.fault.clone())?;
         Ok(Self {
             dir: dir.to_path_buf(),
             opts,
@@ -235,7 +229,7 @@ impl ShardDurability {
         let wal = WalWriter::open_with_faults(
             dir,
             next_seq,
-            opts.segment_bytes,
+            SEGMENT_BYTES,
             opts.sync_wal,
             opts.fault.clone(),
         )?;

@@ -33,6 +33,10 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
+/// Bytes requested per chunk fetch (within the protocol's
+/// [`MAX_CHUNK_LEN`](quicksel_net::MAX_CHUNK_LEN)).
+const CHUNK_LEN: u32 = 256 * 1024;
+
 /// A bidirectional byte stream the agent can speak the wire protocol
 /// over: TCP in production, a
 /// [`FaultStream`](quicksel_fault::FaultStream) wrapper in torture
@@ -130,9 +134,6 @@ pub struct ReplicaOptions {
     pub primary: String,
     /// The local mirror root — same layout as the primary's `--dir`.
     pub root: PathBuf,
-    /// Bytes requested per chunk fetch (capped by the protocol's
-    /// [`MAX_CHUNK_LEN`](quicksel_net::MAX_CHUNK_LEN)).
-    pub chunk_len: u32,
     /// Pause between successful syncs.
     pub sync_interval: Duration,
     /// Base backoff after a failed sync (grows with jitter per attempt).
@@ -155,7 +156,6 @@ impl ReplicaOptions {
         ReplicaOptions {
             primary: primary.into(),
             root: root.into(),
-            chunk_len: 256 * 1024,
             sync_interval: Duration::from_millis(500),
             backoff: Duration::from_millis(100),
             backoff_max: Duration::from_secs(5),
@@ -268,20 +268,14 @@ impl Session {
     }
 
     /// Fetches exactly `[offset, offset + want)` of `path` in
-    /// `chunk_len`-sized round-trips. `want` comes off the wire, so at
+    /// [`CHUNK_LEN`]-sized round-trips. `want` comes off the wire, so at
     /// most one chunk is reserved up front and the buffer grows only as
     /// bytes actually arrive.
-    fn range(
-        &mut self,
-        path: &str,
-        offset: u64,
-        want: u64,
-        chunk_len: u32,
-    ) -> Result<Vec<u8>, ReplicaError> {
-        let mut bytes = Vec::with_capacity(want.min(u64::from(chunk_len)) as usize);
+    fn range(&mut self, path: &str, offset: u64, want: u64) -> Result<Vec<u8>, ReplicaError> {
+        let mut bytes = Vec::with_capacity(want.min(u64::from(CHUNK_LEN)) as usize);
         while (bytes.len() as u64) < want {
             let at = offset + bytes.len() as u64;
-            let ask = (want - bytes.len() as u64).min(u64::from(chunk_len)) as u32;
+            let ask = (want - bytes.len() as u64).min(u64::from(CHUNK_LEN)) as u32;
             let (_, data) = self.chunk(path, at, ask)?;
             if data.is_empty() {
                 // The primary's file is shorter than its manifest said:
@@ -456,7 +450,7 @@ where
         if fs::metadata(local).map(|m| m.len()).ok() == Some(entry.len) {
             return Ok(());
         }
-        let bytes = session.range(&entry.path, 0, entry.len, self.options.chunk_len)?;
+        let bytes = session.range(&entry.path, 0, entry.len)?;
         report.bytes_fetched += bytes.len() as u64;
         if let Some(parent) = local.parent() {
             fs::create_dir_all(parent)?;
@@ -489,8 +483,7 @@ where
         if local_len == entry.len {
             return Ok(());
         }
-        let bytes =
-            session.range(&entry.path, local_len, entry.len - local_len, self.options.chunk_len)?;
+        let bytes = session.range(&entry.path, local_len, entry.len - local_len)?;
         report.bytes_fetched += bytes.len() as u64;
         if let Some(parent) = local.parent() {
             fs::create_dir_all(parent)?;
