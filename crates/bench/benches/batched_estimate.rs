@@ -12,10 +12,10 @@
 //! * **scalar** — the per-rect AoS path: `UniformMixtureModel::estimate`
 //!   mapped over the batch (one pointer-chasing, branchy model walk per
 //!   rect).
-//! * **batched** — `FrozenModel::estimate_many`: the model frozen into
-//!   SoA column arrays once, then the blocked rect×subpop kernel
-//!   (`quicksel_core::batch`). Results are identical bit for bit; only
-//!   the time differs.
+//! * **batched** — `UniformMixtureModel::estimate_many`: the blocked
+//!   rect×subpop kernel (`quicksel_core::batch`) over the model's
+//!   dimension-major support columns. Results are identical bit for
+//!   bit; only the time differs.
 //!
 //! A JSON document is written to
 //! `target/bench-results/batched_estimate.json` (relative to the bench's
@@ -23,7 +23,6 @@
 //! with `BATCHED_BENCH_OUT=...`), including the B=4096 × m=1024 speedup
 //! the README quotes.
 
-use quicksel_core::FrozenModel;
 use quicksel_core::UniformMixtureModel;
 use quicksel_geometry::Rect;
 use std::time::Instant;
@@ -98,20 +97,15 @@ fn main() {
     println!("batched_estimate: scalar (AoS map) vs batched (SoA blocked kernel), dim={DIM}");
     for &m in &SUBPOP_COUNTS {
         let model = model(m);
-        let frozen = FrozenModel::new(&model);
         for &b in &BATCH_SIZES {
             let rects = probes(b);
             // Sanity: the two paths must agree exactly before we time them.
             let scalar: Vec<f64> = rects.iter().map(|r| model.estimate(r)).collect();
-            let batched = frozen.estimate_many(&rects);
+            let batched = model.estimate_many(&rects);
             assert_eq!(scalar, batched, "kernel diverged from scalar path");
 
             let scalar_rps = throughput(b, || rects.iter().map(|r| model.estimate(r)).sum::<f64>());
-            let mut buf = Vec::with_capacity(b);
-            let batched_rps = throughput(b, || {
-                frozen.estimate_many_into(&rects, &mut buf);
-                buf.iter().sum::<f64>()
-            });
+            let batched_rps = throughput(b, || model.estimate_many(&rects).iter().sum::<f64>());
             let speedup = batched_rps / scalar_rps;
             if b == 4096 && m == 1024 {
                 headline_speedup = speedup;

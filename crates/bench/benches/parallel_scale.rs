@@ -26,7 +26,7 @@
 use quicksel_bench::write_bench_json;
 use quicksel_core::subpop::{sample_centers, size_subpopulations, workload_points};
 use quicksel_core::train::IncrementalTrainer;
-use quicksel_core::{FrozenModel, SubpopGrid, UniformMixtureModel};
+use quicksel_core::{SubpopGrid, UniformMixtureModel};
 use quicksel_data::datasets::gaussian::gaussian_table;
 use quicksel_data::workload::{CenterMode, QueryGenerator, RectWorkload, ShiftMode};
 use quicksel_data::ObservedQuery;
@@ -218,16 +218,9 @@ fn main() {
     // --- Workload 3: batched estimation, B = 4096 × m = 1024. ---
     {
         let (model, probes) = batch_workload();
-        let frozen = FrozenModel::new(&model);
         let scalar: Vec<f64> = probes.iter().map(|r| model.estimate(r)).collect();
         let serial_pool = ThreadPool::new(1);
-        let bench_batch = |pool: &ThreadPool| {
-            let mut buf = Vec::with_capacity(BATCH_B);
-            timed(pool, || {
-                frozen.estimate_many_into(&probes, &mut buf);
-                buf.clone()
-            })
-        };
+        let bench_batch = |pool: &ThreadPool| timed(pool, || model.estimate_many(&probes));
         let (serial_s, serial_out) = bench_batch(&serial_pool);
         assert_eq!(scalar, serial_out, "serial kernel diverged from scalar path");
         for &t in &thread_counts {

@@ -48,10 +48,9 @@ pub fn run_query_driven(
 /// `estimate_many` call over the whole workload.
 ///
 /// This matters for the serving path: `Estimate::estimate_many` is where
-/// QuickSel freezes its mixture model into SoA form, so scoring N test
-/// queries costs one freeze + one blocked kernel pass instead of N scalar
-/// walks of the array-of-structs model (the old per-call behavior, which
-/// effectively re-froze nothing and re-walked everything). Scores are
+/// QuickSel runs its blocked kernel over the model's dimension-major
+/// support columns, so scoring N test queries costs one kernel pass
+/// instead of N scalar walks of the array-of-structs model. Scores are
 /// identical either way — the kernel is term-order identical to the
 /// scalar path (see `quicksel_core::batch`) — only the time changes;
 /// `tests/driver_score.rs` pins the equality.

@@ -1,5 +1,5 @@
 //! Regression: `driver::score` (one batched `estimate_many` over the
-//! whole workload, one model freeze) must produce *identical* error
+//! whole workload, one kernel pass) must produce *identical* error
 //! statistics to scoring the same estimator with per-rect scalar
 //! `estimate` calls — batching changes the time, never the numbers.
 
@@ -43,7 +43,7 @@ fn driver_scores_identical_scalar_vs_batched() {
     assert_eq!(batched.count, test.len());
     assert_stats_identical(&batched, &scalar_score(&qs, &test));
 
-    // The frozen snapshot scores identically too (one pre-frozen pass).
+    // A snapshot scores identically too.
     let snap = qs.snapshot();
     assert_stats_identical(&score(&snap, &test), &scalar_score(&qs, &test));
 

@@ -9,9 +9,10 @@
 //! disjoint by construction, and the naive loop spends its time proving
 //! zeros.
 //!
-//! [`SubpopGrid`] freezes the supports into the same dimension-major SoA
-//! column layout as `quicksel_core::batch` ([`FrozenModel`]) and bins
-//! them into a uniform spatial grid (~one cell per subpopulation). Q's
+//! [`SubpopGrid`] bins the supports into a uniform spatial grid (~one
+//! cell per subpopulation) and reads their bounds from the
+//! dimension-major columns of the shared support set that the trainer's
+//! models and the batched kernel also read (see [`crate::model`]). Q's
 //! assembly then only visits *candidate* pairs — pairs sharing at least
 //! one grid cell, a superset of the overlapping pairs — and writes rows
 //! through slices; `A` rows gather candidates the same way. The upper
@@ -44,13 +45,13 @@
 //! (`tests/parallel_equivalence.rs` pins this at several thread
 //! counts); with one thread (or small `m`) the original serial loops
 //! run unchanged.
-//!
-//! [`FrozenModel`]: crate::batch::FrozenModel
 
+use crate::model::Supports;
 use quicksel_data::ObservedQuery;
 use quicksel_geometry::Rect;
 use quicksel_linalg::{CsrMatrix, DMatrix, QpProblem};
 use quicksel_parallel::SharedSlice;
+use std::sync::Arc;
 
 /// Tile edge for the symmetric mirror pass (upper → lower triangle).
 const MIRROR_TILE: usize = 64;
@@ -60,19 +61,13 @@ const MIRROR_TILE: usize = 64;
 /// the rows it covers, so smaller jobs stay on the serial path.
 const PAR_MIN_ROWS: usize = 32;
 
-/// Subpopulation supports frozen into SoA columns and binned into a
-/// uniform spatial grid; the assembly side's counterpart of the serving
-/// side's `FrozenModel`. See the module docs.
+/// Subpopulation supports binned into a uniform spatial grid, over the
+/// shared support columns. See the module docs.
 #[derive(Debug, Clone)]
 pub struct SubpopGrid {
-    dim: usize,
-    len: usize,
-    /// Dimension-major lower bounds, `lo[dim * len + z]`.
-    lo: Vec<f64>,
-    /// Dimension-major upper bounds, `hi[dim * len + z]`.
-    hi: Vec<f64>,
-    /// `1 / |G_z|`, exactly as the naive assembly computes it.
-    inv_vol: Vec<f64>,
+    /// The supports: bound columns and `1 / |G_z|`, the latter exactly
+    /// as the naive assembly computes it.
+    supports: Arc<Supports>,
     /// Cells per dimension.
     res: Vec<usize>,
     /// Flattened-index stride per dimension (last dimension contiguous).
@@ -114,30 +109,28 @@ impl GridScratch {
 }
 
 impl SubpopGrid {
-    /// Freezes `subpops` into SoA columns and bins them into a grid of
-    /// roughly one cell per subpopulation (`res ≈ m^(1/d)` per
+    /// Lays `subpops` out as a support set of their own and bins it into
+    /// a grid of roughly one cell per subpopulation (`res ≈ m^(1/d)` per
     /// dimension).
+    ///
+    /// # Panics
+    /// Panics when the supports disagree on dimensionality or one has
+    /// zero volume.
     pub fn new(subpops: &[Rect]) -> Self {
-        let len = subpops.len();
-        let dim = subpops.first().map_or(0, Rect::dim);
-        let mut lo = vec![0.0; dim * len];
-        let mut hi = vec![0.0; dim * len];
-        let mut inv_vol = Vec::with_capacity(len);
-        for (z, r) in subpops.iter().enumerate() {
-            assert_eq!(r.dim(), dim, "mixed-dimension subpopulation supports");
-            for (d, s) in r.sides().iter().enumerate() {
-                lo[d * len + z] = s.lo;
-                hi[d * len + z] = s.hi;
-            }
-            inv_vol.push(1.0 / r.volume());
-        }
+        Self::over(Arc::new(Supports::new(subpops.to_vec())))
+    }
+
+    /// Bins shared `supports` (see [`new`](Self::new)).
+    pub(crate) fn over(supports: Arc<Supports>) -> Self {
+        let len = supports.len();
+        let dim = supports.dim();
 
         // Bounding box over all supports.
         let mut origin = vec![0.0; dim];
         let mut extent = vec![0.0; dim];
         for d in 0..dim {
-            let col_lo = &lo[d * len..(d + 1) * len];
-            let col_hi = &hi[d * len..(d + 1) * len];
+            let col_lo = &supports.lo()[d * len..(d + 1) * len];
+            let col_hi = &supports.hi()[d * len..(d + 1) * len];
             let mn = col_lo.iter().copied().fold(f64::INFINITY, f64::min);
             let mx = col_hi.iter().copied().fold(f64::NEG_INFINITY, f64::max);
             origin[d] = mn;
@@ -176,33 +169,23 @@ impl SubpopGrid {
             .map(|d| if extent[d] > 0.0 { res[d] as f64 / extent[d] } else { 0.0 })
             .collect();
 
-        let mut grid = Self {
-            dim,
-            len,
-            lo,
-            hi,
-            inv_vol,
-            res,
-            stride,
-            origin,
-            inv_w,
-            start: Vec::new(),
-            items: Vec::new(),
-        };
+        let mut grid =
+            Self { supports, res, stride, origin, inv_w, start: Vec::new(), items: Vec::new() };
         grid.fill_cells();
         grid
     }
 
     /// Two-pass CSR fill: count cell coverage per subpop, then place.
     fn fill_cells(&mut self) {
+        let (len, dim) = (self.len(), self.dim());
         let cells = self.cell_count();
         let mut counts = vec![0usize; cells + 1];
-        let mut clo = vec![0usize; self.dim.max(1)];
-        let mut chi = vec![0usize; self.dim.max(1)];
-        let mut cur = vec![0usize; self.dim.max(1)];
-        for z in 0..self.len {
+        let mut clo = vec![0usize; dim.max(1)];
+        let mut chi = vec![0usize; dim.max(1)];
+        let mut cur = vec![0usize; dim.max(1)];
+        for z in 0..len {
             self.subpop_cell_range(z, &mut clo, &mut chi);
-            for_each_cell(&self.stride[..self.dim], &clo, &chi, &mut cur, |c| {
+            for_each_cell(&self.stride[..dim], &clo, &chi, &mut cur, |c| {
                 counts[c + 1] += 1;
             });
         }
@@ -211,9 +194,9 @@ impl SubpopGrid {
         }
         let mut items = vec![0u32; counts[cells]];
         let mut cursor = counts.clone();
-        for z in 0..self.len {
+        for z in 0..len {
             self.subpop_cell_range(z, &mut clo, &mut chi);
-            for_each_cell(&self.stride[..self.dim], &clo, &chi, &mut cur, |c| {
+            for_each_cell(&self.stride[..dim], &clo, &chi, &mut cur, |c| {
                 items[cursor[c]] = z as u32;
                 cursor[c] += 1;
             });
@@ -224,39 +207,45 @@ impl SubpopGrid {
 
     /// Number of subpopulations `m`.
     pub fn len(&self) -> usize {
-        self.len
+        self.supports.len()
     }
 
     /// True when the grid indexes no subpopulations.
     pub fn is_empty(&self) -> bool {
-        self.len == 0
+        self.len() == 0
     }
 
     /// Dimensionality of the supports (0 for an empty set).
     pub fn dim(&self) -> usize {
-        self.dim
+        self.supports.dim()
+    }
+
+    /// The shared supports this grid indexes.
+    pub(crate) fn supports(&self) -> &Arc<Supports> {
+        &self.supports
     }
 
     /// Total grid cells.
     fn cell_count(&self) -> usize {
-        if self.dim == 0 {
+        if self.dim() == 0 {
             1
         } else {
-            self.res[..self.dim].iter().product()
+            self.res[..self.dim()].iter().product()
         }
     }
 
     /// Fresh scratch sized for this grid.
     pub fn scratch(&self) -> GridScratch {
+        let (len, dim) = (self.len(), self.dim());
         GridScratch {
-            stamp: vec![0; self.len],
+            stamp: vec![0; len],
             tick: 0,
             cand: Vec::with_capacity(64),
             nz: Vec::with_capacity(64),
-            nz_bits: vec![0; self.len.div_ceil(64)],
-            clo: vec![0; self.dim.max(1)],
-            chi: vec![0; self.dim.max(1)],
-            cur: vec![0; self.dim.max(1)],
+            nz_bits: vec![0; len.div_ceil(64)],
+            clo: vec![0; dim.max(1)],
+            chi: vec![0; dim.max(1)],
+            cur: vec![0; dim.max(1)],
         }
     }
 
@@ -273,22 +262,24 @@ impl SubpopGrid {
     }
 
     fn subpop_cell_range(&self, z: usize, clo: &mut [usize], chi: &mut [usize]) {
-        for d in 0..self.dim {
-            clo[d] = self.cell_of(d, self.lo[d * self.len + z]);
-            chi[d] = self.cell_of(d, self.hi[d * self.len + z]);
+        let s = &*self.supports;
+        let (m, lo, hi) = (s.len(), s.lo(), s.hi());
+        for d in 0..s.dim() {
+            clo[d] = self.cell_of(d, lo[d * m + z]);
+            chi[d] = self.cell_of(d, hi[d * m + z]);
         }
     }
 
     /// `|G_i ∩ G_j|`: same per-dimension product (and early exit on a
     /// zero factor) as [`Rect::intersection_volume`].
     #[inline]
-    fn pair_overlap(&self, i: usize, j: usize) -> f64 {
-        let m = self.len;
+    fn pair_overlap(s: &Supports, i: usize, j: usize) -> f64 {
+        let (m, lo, hi) = (s.len(), s.lo(), s.hi());
         let mut v = 1.0;
-        for d in 0..self.dim {
+        for d in 0..s.dim() {
             let base = d * m;
-            let h = self.hi[base + i].min(self.hi[base + j]);
-            let l = self.lo[base + i].max(self.lo[base + j]);
+            let h = hi[base + i].min(hi[base + j]);
+            let l = lo[base + i].max(lo[base + j]);
             v *= (h - l).max(0.0);
             if v == 0.0 {
                 return 0.0;
@@ -300,13 +291,13 @@ impl SubpopGrid {
     /// `|B ∩ G_j|` for a probe rectangle, matching
     /// `rect.intersection_volume(&subpops[j])` exactly.
     #[inline]
-    fn rect_overlap(&self, rect: &Rect, j: usize) -> f64 {
-        let m = self.len;
+    fn rect_overlap(s: &Supports, rect: &Rect, j: usize) -> f64 {
+        let (m, lo, hi) = (s.len(), s.lo(), s.hi());
         let mut v = 1.0;
-        for (d, s) in rect.sides().iter().enumerate() {
+        for (d, side) in rect.sides().iter().enumerate() {
             let base = d * m;
-            let h = s.hi.min(self.hi[base + j]);
-            let l = s.lo.max(self.lo[base + j]);
+            let h = side.hi.min(hi[base + j]);
+            let l = side.lo.max(lo[base + j]);
             v *= (h - l).max(0.0);
             if v == 0.0 {
                 return 0.0;
@@ -326,7 +317,7 @@ impl SubpopGrid {
         scratch.tick += 1;
         let tick = scratch.tick;
         let GridScratch { stamp, cand, clo, chi, cur, .. } = scratch;
-        for_each_cell(&self.stride[..self.dim], clo, chi, cur, |c| {
+        for_each_cell(&self.stride[..self.dim()], clo, chi, cur, |c| {
             for &z in &self.items[self.start[c]..self.start[c + 1]] {
                 let zi = z as usize;
                 if stamp[zi] != tick {
@@ -342,7 +333,7 @@ impl SubpopGrid {
     /// pairs from the grid, slice row writes, upper triangle first, then
     /// a tiled mirror.
     pub fn assemble_q(&self) -> DMatrix {
-        let m = self.len;
+        let m = self.len();
         let mut q = DMatrix::zeros(m, m);
         let pool = quicksel_parallel::current();
         // Candidate-pair tiles write disjoint row slabs, so the fan-out
@@ -363,15 +354,17 @@ impl SubpopGrid {
     fn q_row_upper(&self, i: usize, row: &mut [f64], scratch: &mut GridScratch) {
         self.subpop_cell_range(i, &mut scratch.clo, &mut scratch.chi);
         self.gather_cells(scratch);
-        row[i] = self.inv_vol[i];
+        let s = &*self.supports;
+        let inv_vol = s.inv_volumes();
+        row[i] = inv_vol[i];
         for &zj in &scratch.cand {
             let j = zj as usize;
             if j <= i {
                 continue;
             }
-            let inter = self.pair_overlap(i, j);
+            let inter = Self::pair_overlap(s, i, j);
             if inter > 0.0 {
-                row[j] = inter * self.inv_vol[i] * self.inv_vol[j];
+                row[j] = inter * inv_vol[i] * inv_vol[j];
             }
         }
     }
@@ -382,7 +375,7 @@ impl SubpopGrid {
     /// strictly from above it, so concurrent chunks never touch the
     /// same cell (pure copies — any order yields the same matrix).
     fn mirror_upper_to_lower(&self, data: &mut [f64], pool: &quicksel_parallel::ThreadPool) {
-        let m = self.len;
+        let m = self.len();
         let shared = SharedSlice::new(data);
         let shared = &shared;
         // SAFETY: `run_chunks` hands out disjoint target-row ranges
@@ -397,30 +390,32 @@ impl SubpopGrid {
     /// (same values, no gather overhead). The written columns are left,
     /// ascending, in [`GridScratch::nonzeros`].
     pub fn constraint_row_into(&self, rect: &Rect, row: &mut [f64], scratch: &mut GridScratch) {
-        assert_eq!(row.len(), self.len, "constraint row length must be m");
+        let s = &*self.supports;
+        assert_eq!(row.len(), s.len(), "constraint row length must be m");
         assert!(
-            self.len == 0 || rect.dim() == self.dim,
+            s.len() == 0 || rect.dim() == s.dim(),
             "constraint rect dimensionality {} does not match the supports' {}",
             rect.dim(),
-            self.dim
+            s.dim()
         );
         row.fill(0.0);
         scratch.nz.clear();
-        if self.len == 0 {
+        if s.len() == 0 {
             return;
         }
+        let inv_vol = s.inv_volumes();
         let mut covered: usize = 1;
-        for d in 0..self.dim {
-            let s = rect.side(d);
-            scratch.clo[d] = self.cell_of(d, s.lo.min(s.hi));
-            scratch.chi[d] = self.cell_of(d, s.hi.max(s.lo));
+        for d in 0..s.dim() {
+            let side = rect.side(d);
+            scratch.clo[d] = self.cell_of(d, side.lo.min(side.hi));
+            scratch.chi[d] = self.cell_of(d, side.hi.max(side.lo));
             covered = covered.saturating_mul(scratch.chi[d] - scratch.clo[d] + 1);
         }
         if covered * 2 >= self.cell_count() {
             for (j, r) in row.iter_mut().enumerate() {
-                let inter = self.rect_overlap(rect, j);
+                let inter = Self::rect_overlap(s, rect, j);
                 if inter > 0.0 {
-                    *r = inter * self.inv_vol[j];
+                    *r = inter * inv_vol[j];
                     scratch.nz.push(j as u32);
                 }
             }
@@ -429,9 +424,9 @@ impl SubpopGrid {
         self.gather_cells(scratch);
         for &zj in &scratch.cand {
             let j = zj as usize;
-            let inter = self.rect_overlap(rect, j);
+            let inter = Self::rect_overlap(s, rect, j);
             if inter > 0.0 {
-                row[j] = inter * self.inv_vol[j];
+                row[j] = inter * inv_vol[j];
                 scratch.nz_bits[j / 64] |= 1 << (j % 64);
             }
         }
@@ -451,7 +446,7 @@ impl SubpopGrid {
     /// observed-selectivity rhs `s`. Each row's sparse form comes from
     /// the columns its grid pass wrote, so nothing rescans the dense `A`.
     pub fn assemble_a(&self, queries: &[ObservedQuery]) -> (DMatrix, CsrMatrix, Vec<f64>) {
-        let m = self.len;
+        let m = self.len();
         let n = queries.len() + 1;
         let mut a = DMatrix::zeros(n, m);
         let mut s = Vec::with_capacity(n);

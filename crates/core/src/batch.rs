@@ -1,28 +1,15 @@
-//! Batched, SoA-layout estimation kernel for the uniform mixture model.
+//! Batched estimation kernel for the uniform mixture model.
 //!
-//! [`UniformMixtureModel`] stores its subpopulations array-of-structs:
-//! every support is its own [`Rect`] owning a `Vec<Interval>`, so the hot
-//! estimation loop chases one pointer per subpopulation and branches on
-//! early exits. That is fine for a single probe, but planner-scale
-//! serving estimates *batches* — B candidate-plan rectangles against the
-//! same m subpopulations — and there the memory layout dominates.
-//!
-//! [`FrozenModel`] is the same model frozen into structure-of-arrays
-//! form, plus a blocked rect×subpop intersection kernel over it.
-//!
-//! # SoA layout invariants
-//!
-//! For a model with `m` subpopulations over `d` dimensions:
-//!
-//! * `lo` and `hi` are **dimension-major** column arrays of length
-//!   `d · m`: `lo[dim * m + z]` / `hi[dim * m + z]` are subpopulation
-//!   `z`'s bounds in dimension `dim`. The kernel's inner loops therefore
-//!   stream contiguous memory for a fixed dimension.
-//! * `weights[z]` and `inv_volumes[z]` are parallel to the subpopulation
-//!   index, with `inv_volumes[z] == 1.0 / |G_z|` exactly as the source
-//!   model computed it.
-//! * All supports share one dimensionality; `FrozenModel::new` panics on
-//!   mixed-dimension supports (the source model cannot produce them).
+//! Planner-scale serving estimates *batches* — B candidate-plan
+//! rectangles against the same m subpopulations — and there the memory
+//! layout dominates. [`UniformMixtureModel::estimate_many`] and
+//! [`UniformMixtureModel::estimate_gather`] run a blocked rect×subpop
+//! intersection kernel straight over the model's shared support
+//! columns (see [`crate::model`]): dimension-major bounds, so the inner
+//! loops stream contiguous memory for a fixed dimension, and the same
+//! `1 / |G_z|` the scalar path reads. Those are laid out once per cold
+//! build, so neither a published snapshot nor an estimate call copies
+//! the model into another layout.
 //!
 //! # Exactness contract
 //!
@@ -36,10 +23,10 @@
 //! whose masked-out terms contribute exactly `+0.0` — which changes no
 //! partial sum's value (at most the sign of a zero sum, and
 //! `0.0 == -0.0`). Every contributing IEEE-754 operation therefore
-//! rounds identically and [`FrozenModel::estimate`] **compares equal**
-//! (`==`, which is bitwise up to zero signs) to the scalar estimate —
-//! the equivalence suite in `tests/batch_equivalence.rs` asserts exact
-//! equality, not a tolerance.
+//! rounds identically and [`UniformMixtureModel::estimate_many`]
+//! **compares equal** (`==`, which is bitwise up to zero signs) to the
+//! scalar estimate — the equivalence suite in `tests/batch_equivalence.rs`
+//! asserts exact equality, not a tolerance.
 //!
 //! # Blocking
 //!
@@ -77,64 +64,34 @@ pub const RECT_TILE: usize = 16;
 /// the fan-out cannot change a single result bit.
 const PAR_MIN_TILES: usize = 4;
 
-/// A [`UniformMixtureModel`] frozen into SoA column arrays, with batched
-/// estimation kernels. See the module docs for the layout and exactness
-/// invariants.
-#[derive(Debug, Clone)]
-pub struct FrozenModel {
-    dim: usize,
-    len: usize,
-    /// Dimension-major lower bounds, `lo[dim * len + z]`.
-    lo: Vec<f64>,
-    /// Dimension-major upper bounds, `hi[dim * len + z]`.
-    hi: Vec<f64>,
-    /// Subpopulation weights `w_z`, in model order.
-    weights: Vec<f64>,
-    /// Precomputed `1 / |G_z|`, copied verbatim from the source model.
-    inv_volumes: Vec<f64>,
-}
-
-impl FrozenModel {
-    /// Freezes `model` into SoA form. `O(m · d)` — cheap relative to one
-    /// batched estimate, and done once per published snapshot.
+impl UniformMixtureModel {
+    /// Batched estimation: clamped selectivities for every rectangle, in
+    /// input order. Compares equal (`==`) to mapping
+    /// [`estimate`](Self::estimate) — see the module docs' exactness
+    /// contract — evaluated through the blocked kernel.
     ///
     /// # Panics
-    /// Panics when the model's supports disagree on dimensionality.
-    pub fn new(model: &UniformMixtureModel) -> Self {
-        let len = model.len();
-        let dim = model.rects().first().map_or(0, Rect::dim);
-        let mut lo = vec![0.0; dim * len];
-        let mut hi = vec![0.0; dim * len];
-        for (z, r) in model.rects().iter().enumerate() {
-            assert_eq!(r.dim(), dim, "mixed-dimension subpopulation supports");
-            for (d, s) in r.sides().iter().enumerate() {
-                lo[d * len + z] = s.lo;
-                hi[d * len + z] = s.hi;
-            }
+    /// Panics when a rect's dimensionality mismatches the model's.
+    pub fn estimate_many(&self, rects: &[Rect]) -> Vec<f64> {
+        for rect in rects {
+            self.check_dim(rect);
         }
-        Self {
-            dim,
-            len,
-            lo,
-            hi,
-            weights: model.weights().to_vec(),
-            inv_volumes: model.inv_volumes().to_vec(),
+        self.kernel(rects.len(), &|i| &rects[i])
+    }
+
+    /// Gather form of [`estimate_many`](Self::estimate_many): estimates
+    /// `rects[indexes[k]]` for each `k`, in `indexes` order. This is
+    /// what routed batch dispatch uses — regrouping a batch by shard
+    /// becomes index shuffling instead of cloning rectangles.
+    ///
+    /// # Panics
+    /// Panics when an index is out of bounds or a gathered rect's
+    /// dimensionality mismatches the model's.
+    pub fn estimate_gather(&self, rects: &[Rect], indexes: &[usize]) -> Vec<f64> {
+        for &i in indexes {
+            self.check_dim(&rects[i]);
         }
-    }
-
-    /// Number of subpopulations `m`.
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// True when the model has no subpopulations.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// Dimensionality of the supports (0 for an empty model).
-    pub fn dim(&self) -> usize {
-        self.dim
+        self.kernel(indexes.len(), &|k| &rects[indexes[k]])
     }
 
     /// Hard dimensionality guard at every kernel entry point: a
@@ -144,116 +101,44 @@ impl FrozenModel {
     /// loops never run, so any probe is accepted and estimates 0.)
     #[inline]
     fn check_dim(&self, rect: &Rect) {
+        let dim = self.supports().dim();
         assert!(
-            self.len == 0 || rect.dim() == self.dim,
-            "probe dimensionality {} does not match the model's {}",
-            rect.dim(),
-            self.dim
+            self.is_empty() || rect.dim() == dim,
+            "probe dimensionality {} does not match the model's {dim}",
+            rect.dim()
         );
     }
 
-    /// Raw (unclamped) selectivity `Σ_z w_z |G_z ∩ B| / |G_z|` through
-    /// the SoA kernel; compares equal (`==`) to the scalar
-    /// [`UniformMixtureModel::estimate_raw`] — see the module docs'
-    /// exactness contract.
-    pub fn estimate_raw(&self, rect: &Rect) -> f64 {
-        self.check_dim(rect);
-        let mut ov = [0.0f64; SUBPOP_BLOCK];
-        let mut acc = 0.0;
-        let mut z0 = 0;
-        while z0 < self.len {
-            let c = SUBPOP_BLOCK.min(self.len - z0);
-            self.overlap_block(rect, z0, &mut ov[..c]);
-            self.accumulate_block(z0, &ov[..c], &mut acc);
-            z0 += c;
-        }
-        acc
-    }
-
-    /// Selectivity estimate clamped into `[0, 1]`.
-    pub fn estimate(&self, rect: &Rect) -> f64 {
-        self.estimate_raw(rect).clamp(0.0, 1.0)
-    }
-
-    /// Batched estimation: clamped selectivities for every rectangle, in
-    /// input order. Equivalent to mapping [`estimate`](Self::estimate)
-    /// (and therefore to the scalar path), evaluated through the blocked
-    /// kernel.
-    pub fn estimate_many(&self, rects: &[Rect]) -> Vec<f64> {
-        let mut out = Vec::with_capacity(rects.len());
-        self.estimate_many_into(rects, &mut out);
-        out
-    }
-
-    /// [`estimate_many`](Self::estimate_many) into a caller-provided
-    /// buffer (cleared first), so steady-state serving reuses one
-    /// allocation across calls.
-    pub fn estimate_many_into(&self, rects: &[Rect], out: &mut Vec<f64>) {
-        for rect in rects {
-            self.check_dim(rect);
-        }
-        self.kernel_into(rects.len(), &|i| &rects[i], out);
-    }
-
-    /// Parallelism gate shared by the batched entry points: how many
-    /// chunks (of whole [`RECT_TILE`] groups) the current pool splits a
-    /// `count`-rect batch into. `<= 1` means the serial kernel runs.
-    fn par_pieces(&self, count: usize) -> usize {
-        if self.len == 0 {
-            return 1;
-        }
-        quicksel_parallel::current().chunks_for(count.div_ceil(RECT_TILE), PAR_MIN_TILES)
-    }
-
-    /// Gather form of [`estimate_many`](Self::estimate_many): estimates
-    /// `rects[indexes[k]]` for each `k`, in `indexes` order. This is
-    /// what routed batch dispatch uses — regrouping a batch by shard
-    /// becomes index shuffling instead of cloning rectangles.
-    pub fn estimate_gather(&self, rects: &[Rect], indexes: &[usize]) -> Vec<f64> {
-        let mut out = Vec::with_capacity(indexes.len());
-        self.estimate_gather_into(rects, indexes, &mut out);
-        out
-    }
-
-    /// [`estimate_gather`](Self::estimate_gather) into a caller-provided
-    /// buffer (cleared first).
-    ///
-    /// # Panics
-    /// Panics when an index is out of bounds or a gathered rect's
-    /// dimensionality mismatches the model's.
-    pub fn estimate_gather_into(&self, rects: &[Rect], indexes: &[usize], out: &mut Vec<f64>) {
-        for &i in indexes {
-            self.check_dim(&rects[i]);
-        }
-        self.kernel_into(indexes.len(), &|k| &rects[indexes[k]], out);
-    }
-
     /// The blocked kernel over `count` rects resolved through `rect_at`
-    /// (a direct slice index for `estimate_many_into`, an index-gather
-    /// for `estimate_gather_into`). Callers have already dim-checked
-    /// every rect `rect_at` can return.
+    /// (a direct slice index for `estimate_many`, an index-gather for
+    /// `estimate_gather`). Callers have already dim-checked every rect
+    /// `rect_at` can return.
     ///
     /// Batches above the parallel gate split into chunks of whole
     /// [`RECT_TILE`] groups across the workspace pool; each chunk runs
     /// the identical serial kernel over its own disjoint output slice,
     /// so batched results stay equal (`==`) to the scalar path at any
     /// thread count.
-    fn kernel_into<'a, F>(&self, count: usize, rect_at: &F, out: &mut Vec<f64>)
+    fn kernel<'a, F>(&self, count: usize, rect_at: &F) -> Vec<f64>
     where
         F: Fn(usize) -> &'a Rect + Sync,
     {
-        out.clear();
-        let pieces = self.par_pieces(count);
+        let cols = Columns::of(self);
+        let pieces = if self.is_empty() {
+            1
+        } else {
+            quicksel_parallel::current().chunks_for(count.div_ceil(RECT_TILE), PAR_MIN_TILES)
+        };
         if pieces <= 1 {
-            // Serial: extend straight into the (reserved) spare
-            // capacity — the pre-parallelism path, no zero-fill pass.
-            out.reserve(count);
-            self.kernel_tiles(0, count, rect_at, |accs| {
+            // Serial: extend straight into the reserved capacity, with
+            // no zero-fill pass.
+            let mut out = Vec::with_capacity(count);
+            cols.kernel_tiles(0, count, rect_at, |accs| {
                 out.extend(accs.iter().map(|a| a.clamp(0.0, 1.0)));
             });
-            return;
+            return out;
         }
-        out.resize(count, 0.0);
+        let mut out = vec![0.0; count];
         let tiles = count.div_ceil(RECT_TILE);
         quicksel_parallel::current().scope(|s| {
             let mut rest = out.as_mut_slice();
@@ -265,7 +150,7 @@ impl FrozenModel {
                 let base = start;
                 s.spawn(move || {
                     let mut off = 0;
-                    self.kernel_tiles(base, slab.len(), rect_at, |accs| {
+                    cols.kernel_tiles(base, slab.len(), rect_at, |accs| {
                         for (slot, acc) in slab[off..off + accs.len()].iter_mut().zip(accs) {
                             *slot = acc.clamp(0.0, 1.0);
                         }
@@ -275,6 +160,34 @@ impl FrozenModel {
                 start = end;
             }
         });
+        out
+    }
+}
+
+/// The kernel's operands as plain slices: the shared support columns
+/// and the model's weights, bound once per call instead of reached
+/// through the model's shared pointer per element.
+#[derive(Clone, Copy)]
+struct Columns<'a> {
+    len: usize,
+    dim: usize,
+    lo: &'a [f64],
+    hi: &'a [f64],
+    weights: &'a [f64],
+    inv_volumes: &'a [f64],
+}
+
+impl<'a> Columns<'a> {
+    fn of(model: &'a UniformMixtureModel) -> Self {
+        let s = model.supports();
+        Self {
+            len: model.len(),
+            dim: s.dim(),
+            lo: s.lo(),
+            hi: s.hi(),
+            weights: model.weights(),
+            inv_volumes: s.inv_volumes(),
+        }
     }
 
     /// The serial blocked kernel over the rects `base..base + count`
@@ -283,9 +196,9 @@ impl FrozenModel {
     /// both the serial extend path and the parallel slab path. Runs the
     /// AVX2 build of the loop where the host has AVX2; it computes the
     /// same bits as the portable one.
-    fn kernel_tiles<'a, F>(&self, base: usize, count: usize, rect_at: &F, sink: impl FnMut(&[f64]))
+    fn kernel_tiles<'r, F>(self, base: usize, count: usize, rect_at: &F, sink: impl FnMut(&[f64]))
     where
-        F: Fn(usize) -> &'a Rect + Sync,
+        F: Fn(usize) -> &'r Rect + Sync,
     {
         #[cfg(target_arch = "x86_64")]
         if std::arch::is_x86_feature_detected!("avx2") {
@@ -300,28 +213,28 @@ impl FrozenModel {
     /// match).
     #[cfg(target_arch = "x86_64")]
     #[target_feature(enable = "avx2")]
-    fn kernel_tiles_avx2<'a, F>(
-        &self,
+    fn kernel_tiles_avx2<'r, F>(
+        self,
         base: usize,
         count: usize,
         rect_at: &F,
         sink: impl FnMut(&[f64]),
     ) where
-        F: Fn(usize) -> &'a Rect + Sync,
+        F: Fn(usize) -> &'r Rect + Sync,
     {
         self.kernel_tiles_portable(base, count, rect_at, sink)
     }
 
     /// The one source of the tile loop, inlined into both builds.
     #[inline(always)]
-    fn kernel_tiles_portable<'a, F>(
-        &self,
+    fn kernel_tiles_portable<'r, F>(
+        self,
         base: usize,
         count: usize,
         rect_at: &F,
         mut sink: impl FnMut(&[f64]),
     ) where
-        F: Fn(usize) -> &'a Rect + Sync,
+        F: Fn(usize) -> &'r Rect + Sync,
     {
         let mut ov = [0.0f64; SUBPOP_BLOCK];
         let mut t0 = 0;
@@ -357,7 +270,7 @@ impl FrozenModel {
     /// `minNum`/`maxNum` semantics (they differ only on NaN inputs,
     /// which positive-volume supports cannot produce).
     #[inline(always)]
-    fn overlap_block(&self, rect: &Rect, z0: usize, ov: &mut [f64]) {
+    fn overlap_block(self, rect: &Rect, z0: usize, ov: &mut [f64]) {
         debug_assert_eq!(rect.dim(), self.dim);
         if self.dim == 0 {
             // Zero-dimensional supports: |G ∩ B| is the empty product,
@@ -399,7 +312,7 @@ impl FrozenModel {
     /// path's term association (`w * overlap * inv`) and its skip
     /// conditions expressed as a select (see the exactness contract).
     #[inline(always)]
-    fn accumulate_block(&self, z0: usize, ov: &[f64], acc: &mut f64) {
+    fn accumulate_block(self, z0: usize, ov: &[f64], acc: &mut f64) {
         let ws = &self.weights[z0..z0 + ov.len()];
         let invs = &self.inv_volumes[z0..z0 + ov.len()];
         for ((&w, &inv), &o) in ws.iter().zip(invs).zip(ov) {
@@ -433,20 +346,27 @@ mod tests {
         UniformMixtureModel::new(rects, vec![0.3, 0.5, 0.2])
     }
 
-    #[test]
-    fn frozen_layout_is_dimension_major() {
-        let f = FrozenModel::new(&model_2d());
-        assert_eq!((f.len(), f.dim()), (3, 2));
-        assert!(!f.is_empty());
-        // Dim 0 lows for z = 0, 1, 2, then dim 1 lows.
-        assert_eq!(f.lo, vec![0.0, 2.0, 0.5, 0.0, 2.0, 0.5]);
-        assert_eq!(f.hi, vec![1.0, 3.0, 2.5, 1.0, 3.0, 2.5]);
+    /// Raw accumulators for `rects` from the dispatched tile loop, or
+    /// from the portable body called by name.
+    fn raw_bits(m: &UniformMixtureModel, rects: &[Rect], portable: bool) -> Vec<u64> {
+        let mut out = Vec::new();
+        let sink = |accs: &[f64]| out.extend(accs.iter().map(|a| a.to_bits()));
+        let cols = Columns::of(m);
+        if portable {
+            cols.kernel_tiles_portable(0, rects.len(), &|i| &rects[i], sink);
+        } else {
+            cols.kernel_tiles(0, rects.len(), &|i| &rects[i], sink);
+        }
+        out
+    }
+
+    fn bits(v: &[f64]) -> Vec<u64> {
+        v.iter().map(|x| x.to_bits()).collect()
     }
 
     #[test]
-    fn frozen_matches_scalar_bit_for_bit() {
+    fn kernel_matches_scalar_bit_for_bit() {
         let m = model_2d();
-        let f = FrozenModel::new(&m);
         let probes = [
             Rect::from_bounds(&[(0.0, 3.0), (0.0, 3.0)]),
             Rect::from_bounds(&[(0.25, 0.75), (0.25, 0.75)]),
@@ -454,11 +374,11 @@ mod tests {
             Rect::from_bounds(&[(1.0, 1.0), (0.0, 3.0)]), // zero volume
             Rect::from_bounds(&[(-100.0, 100.0), (-100.0, 100.0)]),
         ];
-        for p in &probes {
-            assert_eq!(f.estimate_raw(p), m.estimate_raw(p));
-            assert_eq!(f.estimate(p), m.estimate(p));
+        // The raw (unclamped) accumulators against the scalar raw sum.
+        for (p, raw) in probes.iter().zip(raw_bits(&m, &probes, false)) {
+            assert_eq!(f64::from_bits(raw), m.estimate_raw(p));
         }
-        let batched = f.estimate_many(&probes);
+        let batched = m.estimate_many(&probes);
         for (p, b) in probes.iter().zip(&batched) {
             assert_eq!(m.estimate(p), *b);
         }
@@ -467,11 +387,8 @@ mod tests {
     #[test]
     fn empty_model_and_empty_batch() {
         let m = UniformMixtureModel::new(Vec::new(), Vec::new());
-        let f = FrozenModel::new(&m);
-        assert!(f.is_empty());
-        assert_eq!(f.estimate(&Rect::from_bounds(&[(0.0, 1.0)])), 0.0);
-        let f = FrozenModel::new(&model_2d());
-        assert!(f.estimate_many(&[]).is_empty());
+        assert_eq!(m.estimate_many(&[Rect::from_bounds(&[(0.0, 1.0)])]), vec![0.0]);
+        assert!(model_2d().estimate_many(&[]).is_empty());
     }
 
     #[test]
@@ -488,35 +405,17 @@ mod tests {
             .map(|z| if z % 7 == 0 { 0.0 } else { (z % 3) as f64 * 0.01 - 0.01 })
             .collect();
         let model = UniformMixtureModel::new(rects, weights);
-        let f = FrozenModel::new(&model);
         let probes: Vec<Rect> = (0..RECT_TILE * 2 + 3)
             .map(|i| {
                 let lo = (i % 9) as f64;
                 Rect::from_bounds(&[(lo, lo + 2.0), (0.5, 4.5)])
             })
             .collect();
-        let batched = f.estimate_many(&probes);
+        let batched = model.estimate_many(&probes);
         assert_eq!(batched.len(), probes.len());
         for (p, b) in probes.iter().zip(&batched) {
             assert_eq!(model.estimate(p), *b);
         }
-    }
-
-    /// Raw accumulators for `rects` from the dispatched tile loop, or
-    /// from the portable body called by name.
-    fn raw_bits(f: &FrozenModel, rects: &[Rect], portable: bool) -> Vec<u64> {
-        let mut out = Vec::new();
-        let sink = |accs: &[f64]| out.extend(accs.iter().map(|a| a.to_bits()));
-        if portable {
-            f.kernel_tiles_portable(0, rects.len(), &|i| &rects[i], sink);
-        } else {
-            f.kernel_tiles(0, rects.len(), &|i| &rects[i], sink);
-        }
-        out
-    }
-
-    fn bits(v: &[f64]) -> Vec<u64> {
-        v.iter().map(|x| x.to_bits()).collect()
     }
 
     #[test]
@@ -560,17 +459,20 @@ mod tests {
         };
         let cases = [(1, 2), (SUBPOP_BLOCK, 1), (SUBPOP_BLOCK * 2 + 7, 3), (5, 0)];
         for (len, dim) in cases {
-            let f = FrozenModel::new(&model(len, dim));
+            let m = model(len, dim);
             for count in [1, RECT_TILE, RECT_TILE * 2 + 3, RECT_TILE * 9 + 5] {
                 let rects = probes(count, dim);
-                let portable = raw_bits(&f, &rects, true);
-                assert_eq!(raw_bits(&f, &rects, false), portable, "len={len} dim={dim} B={count}");
+                let portable = raw_bits(&m, &rects, true);
+                assert_eq!(raw_bits(&m, &rects, false), portable, "len={len} dim={dim} B={count}");
+                for (r, &raw) in rects.iter().zip(&portable) {
+                    assert_eq!(f64::from_bits(raw), m.estimate_raw(r), "raw len={len} dim={dim}");
+                }
                 let clamped: Vec<u64> =
                     portable.iter().map(|&b| f64::from_bits(b).clamp(0.0, 1.0).to_bits()).collect();
-                assert_eq!(bits(&f.estimate_many(&rects)), clamped, "len={len} dim={dim}");
+                assert_eq!(bits(&m.estimate_many(&rects)), clamped, "len={len} dim={dim}");
                 let indexes: Vec<usize> = (0..count).rev().chain(0..count.min(3)).collect();
                 let gathered: Vec<u64> = indexes.iter().map(|&i| clamped[i]).collect();
-                assert_eq!(bits(&f.estimate_gather(&rects, &indexes)), gathered, "len={len}");
+                assert_eq!(bits(&m.estimate_gather(&rects, &indexes)), gathered, "len={len}");
             }
         }
     }

@@ -1,6 +1,5 @@
 //! The [`QuickSel`] estimator: observation buffer + refine loop.
 
-use crate::batch::FrozenModel;
 use crate::config::{QuickSelConfig, RefinePolicy};
 use crate::model::UniformMixtureModel;
 use crate::snapshot::ModelSnapshot;
@@ -632,18 +631,14 @@ impl Estimate for QuickSel {
         crate::snapshot::estimate_model_or_prior(&self.domain, self.model.as_deref(), rect)
     }
 
-    /// Batched estimation: the model is frozen into SoA form **once per
-    /// call** and the whole batch runs through the blocked kernel
+    /// Batched estimation through the model's blocked kernel
     /// (term-order identical to the scalar path, so results compare
-    /// equal). Snapshots pre-freeze at publish time instead; a live
-    /// estimator freezes here because its model can change between
-    /// calls.
+    /// equal); the uniform prior answers per rect before the first
+    /// refine.
     fn estimate_many(&self, rects: &[Rect]) -> Vec<f64> {
         match self.model.as_deref() {
-            // One-element batches skip the freeze: the layout pass would
-            // cost more than it amortizes.
-            Some(m) if rects.len() > 1 => FrozenModel::new(m).estimate_many(rects),
-            _ => rects.iter().map(|r| self.estimate(r)).collect(),
+            Some(m) => m.estimate_many(rects),
+            None => rects.iter().map(|r| self.estimate(r)).collect(),
         }
     }
 

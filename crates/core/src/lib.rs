@@ -67,7 +67,6 @@ pub mod subpop;
 pub mod train;
 
 pub use assembly::SubpopGrid;
-pub use batch::FrozenModel;
 pub use config::{QuickSelConfig, RefinePolicy};
 pub use estimator::{QuickSel, QuickSelBuilder};
 pub use model::UniformMixtureModel;

@@ -1,6 +1,91 @@
 //! The uniform mixture model (§3.1–§3.2).
+//!
+//! A model is a set of subpopulation supports `G_z`, placed once by a
+//! cold build (§3.3), plus the weights `w_z` that every refine solves
+//! again (§4). The supports' geometry is one `Supports` value: the
+//! [`Rect`]s, their dimension-major bound columns and `1/|G_z|`. A cold
+//! build makes it once and shares it by [`Arc`] between the trainer's
+//! assembly grid ([`SubpopGrid`](crate::SubpopGrid)), every model the
+//! trainer publishes and every snapshot that holds one, so a warm
+//! refine allocates only its weights. The batched estimation kernel
+//! over the shared columns is in [`crate::batch`].
 
 use quicksel_geometry::Rect;
+use std::sync::Arc;
+
+/// The fixed geometry of a set of subpopulation supports.
+///
+/// For `m` supports over `d` dimensions, `lo` and `hi` are
+/// dimension-major columns of length `d · m`: `lo[dim * m + z]` and
+/// `hi[dim * m + z]` are support `z`'s bounds in dimension `dim`, so a
+/// loop over one dimension streams contiguous memory.
+/// `inv_volumes[z]` is `1.0 / |G_z|`, the one expression every path
+/// (scalar estimate, batched kernel, assembly) reads.
+#[derive(Debug)]
+pub(crate) struct Supports {
+    rects: Vec<Rect>,
+    dim: usize,
+    lo: Vec<f64>,
+    hi: Vec<f64>,
+    inv_volumes: Vec<f64>,
+}
+
+impl Supports {
+    /// Lays `rects` out in columns and computes their reciprocal
+    /// volumes.
+    ///
+    /// # Panics
+    /// Panics when the supports disagree on dimensionality or any has
+    /// zero volume.
+    pub(crate) fn new(rects: Vec<Rect>) -> Self {
+        let len = rects.len();
+        let dim = rects.first().map_or(0, Rect::dim);
+        let mut lo = vec![0.0; dim * len];
+        let mut hi = vec![0.0; dim * len];
+        let mut inv_volumes = Vec::with_capacity(len);
+        for (z, r) in rects.iter().enumerate() {
+            assert_eq!(r.dim(), dim, "mixed-dimension subpopulation supports");
+            let v = r.volume();
+            assert!(v > 0.0, "subpopulation support must have positive volume");
+            inv_volumes.push(1.0 / v);
+            for (d, s) in r.sides().iter().enumerate() {
+                lo[d * len + z] = s.lo;
+                hi[d * len + z] = s.hi;
+            }
+        }
+        Self { rects, dim, lo, hi, inv_volumes }
+    }
+
+    /// Number of supports `m`.
+    pub(crate) fn len(&self) -> usize {
+        self.rects.len()
+    }
+
+    /// The supports, in model order.
+    pub(crate) fn rects(&self) -> &[Rect] {
+        &self.rects
+    }
+
+    /// Dimensionality of every support (0 for an empty set).
+    pub(crate) fn dim(&self) -> usize {
+        self.dim
+    }
+
+    /// Dimension-major lower bounds, `lo[dim * m + z]`.
+    pub(crate) fn lo(&self) -> &[f64] {
+        &self.lo
+    }
+
+    /// Dimension-major upper bounds, `hi[dim * m + z]`.
+    pub(crate) fn hi(&self) -> &[f64] {
+        &self.hi
+    }
+
+    /// `1 / |G_z|`, parallel to the rects.
+    pub(crate) fn inv_volumes(&self) -> &[f64] {
+        &self.inv_volumes
+    }
+}
 
 /// A trained uniform mixture model: subpopulation supports `G_z` plus
 /// their weights `w_z = h(z)`.
@@ -8,45 +93,52 @@ use quicksel_geometry::Rect;
 /// `f(x) = Σ_z w_z / |G_z| · I(x ∈ G_z)`; selectivity of a predicate
 /// rectangle `B` is `Σ_z w_z |G_z ∩ B| / |G_z|` (§3.2) — evaluated here
 /// with precomputed `1/|G_z|` so estimation is a single pass of min/max
-/// arithmetic.
+/// arithmetic. Models of one cold build share their supports (see the
+/// module docs); cloning a model copies only its weights.
 #[derive(Debug, Clone)]
 pub struct UniformMixtureModel {
-    rects: Vec<Rect>,
+    supports: Arc<Supports>,
     weights: Vec<f64>,
-    inv_volumes: Vec<f64>,
 }
 
 impl UniformMixtureModel {
     /// Builds a model from supports and weights.
     ///
     /// # Panics
-    /// Panics when lengths differ or any support has zero volume.
+    /// Panics when lengths differ, the supports disagree on
+    /// dimensionality, or any support has zero volume.
     pub fn new(rects: Vec<Rect>, weights: Vec<f64>) -> Self {
-        assert_eq!(rects.len(), weights.len(), "supports/weights length mismatch");
-        let inv_volumes = rects
-            .iter()
-            .map(|r| {
-                let v = r.volume();
-                assert!(v > 0.0, "subpopulation support must have positive volume");
-                1.0 / v
-            })
-            .collect();
-        Self { rects, weights, inv_volumes }
+        Self::with_supports(Arc::new(Supports::new(rects)), weights)
+    }
+
+    /// A model over an existing support set, shared rather than copied:
+    /// how the trainer publishes each refine's weights.
+    ///
+    /// # Panics
+    /// Panics when the lengths differ.
+    pub(crate) fn with_supports(supports: Arc<Supports>, weights: Vec<f64>) -> Self {
+        assert_eq!(supports.len(), weights.len(), "supports/weights length mismatch");
+        Self { supports, weights }
+    }
+
+    /// The shared support geometry.
+    pub(crate) fn supports(&self) -> &Supports {
+        &self.supports
     }
 
     /// Number of subpopulations `m`.
     pub fn len(&self) -> usize {
-        self.rects.len()
+        self.weights.len()
     }
 
     /// True when the model has no subpopulations.
     pub fn is_empty(&self) -> bool {
-        self.rects.is_empty()
+        self.weights.is_empty()
     }
 
     /// Subpopulation supports.
     pub fn rects(&self) -> &[Rect] {
-        &self.rects
+        self.supports.rects()
     }
 
     /// Subpopulation weights (may contain small negatives: the paper drops
@@ -57,11 +149,10 @@ impl UniformMixtureModel {
     }
 
     /// Precomputed reciprocal volumes `1 / |G_z|`, parallel to
-    /// [`rects`](Self::rects). The batched SoA kernel
-    /// ([`FrozenModel`](crate::FrozenModel)) copies these verbatim so its
-    /// terms round identically to the scalar path's.
+    /// [`rects`](Self::rects). The scalar path and the batched kernel
+    /// both read these, so their terms round identically.
     pub fn inv_volumes(&self) -> &[f64] {
-        &self.inv_volumes
+        self.supports.inv_volumes()
     }
 
     /// Sum of weights — ≈ 1 when training included the `(B0, 1)` row.
@@ -72,7 +163,7 @@ impl UniformMixtureModel {
     /// Raw (unclamped) selectivity estimate `Σ_z w_z |G_z∩B| / |G_z|`.
     pub fn estimate_raw(&self, query: &Rect) -> f64 {
         let mut s = 0.0;
-        for ((r, &w), &inv) in self.rects.iter().zip(&self.weights).zip(&self.inv_volumes) {
+        for ((r, &w), &inv) in self.rects().iter().zip(&self.weights).zip(self.inv_volumes()) {
             if w == 0.0 {
                 continue;
             }
@@ -92,7 +183,7 @@ impl UniformMixtureModel {
     /// Probability density at a point, `f(x) = Σ w_z/|G_z| · I(x∈G_z)`.
     pub fn density(&self, point: &[f64]) -> f64 {
         let mut f = 0.0;
-        for ((r, &w), &inv) in self.rects.iter().zip(&self.weights).zip(&self.inv_volumes) {
+        for ((r, &w), &inv) in self.rects().iter().zip(&self.weights).zip(self.inv_volumes()) {
             if r.contains_point(point) {
                 f += w * inv;
             }
@@ -155,6 +246,29 @@ mod tests {
         assert!((m.density(&[1.5]) - 0.5).abs() < 1e-12);
         assert!((m.density(&[0.5]) - 0.25).abs() < 1e-12);
         assert_eq!(m.density(&[10.0]), 0.0);
+    }
+
+    #[test]
+    fn support_columns_are_dimension_major() {
+        let rects = vec![
+            Rect::from_bounds(&[(0.0, 1.0), (0.0, 1.0)]),
+            Rect::from_bounds(&[(2.0, 3.0), (2.0, 3.0)]),
+            Rect::from_bounds(&[(0.5, 2.5), (0.5, 2.5)]),
+        ];
+        let m = UniformMixtureModel::new(rects, vec![0.3, 0.5, 0.2]);
+        let s = m.supports();
+        assert_eq!((s.len(), s.dim), (3, 2));
+        // Dim 0 lows for z = 0, 1, 2, then dim 1 lows.
+        assert_eq!(s.lo, vec![0.0, 2.0, 0.5, 0.0, 2.0, 0.5]);
+        assert_eq!(s.hi, vec![1.0, 3.0, 2.5, 1.0, 3.0, 2.5]);
+        assert_eq!(s.inv_volumes, vec![1.0, 1.0, 0.25]);
+    }
+
+    #[test]
+    #[should_panic(expected = "mixed-dimension")]
+    fn mixed_dimension_supports_rejected() {
+        let supports = vec![Rect::from_bounds(&[(0.0, 1.0)]), Rect::from_bounds(&[(0.0, 1.0); 2])];
+        UniformMixtureModel::new(supports, vec![0.5, 0.5]);
     }
 
     #[test]

@@ -1,6 +1,10 @@
 //! Immutable, cheaply-cloneable snapshots of a trained QuickSel model.
+//!
+//! A snapshot holds the published model by `Arc`, and the model holds
+//! its cold build's supports by `Arc` (see [`crate::model`]): taking or
+//! cloning a snapshot copies no geometry, and the batched kernel reads
+//! the shared support columns directly.
 
-use crate::batch::FrozenModel;
 use crate::model::UniformMixtureModel;
 use quicksel_data::Estimate;
 use quicksel_geometry::{Domain, Rect};
@@ -40,9 +44,6 @@ pub(crate) fn estimate_model_or_prior(
 pub struct ModelSnapshot {
     domain: Arc<Domain>,
     model: Option<Arc<UniformMixtureModel>>,
-    /// The model frozen into SoA form at snapshot time, so every batched
-    /// estimate over this snapshot's lifetime reuses one layout pass.
-    frozen: Option<Arc<FrozenModel>>,
     version: u64,
     observed: usize,
 }
@@ -54,23 +55,7 @@ impl ModelSnapshot {
         version: u64,
         observed: usize,
     ) -> Self {
-        let frozen = model.as_deref().map(|m| Arc::new(FrozenModel::new(m)));
-        Self { domain, model, frozen, version, observed }
-    }
-
-    /// Assembles a snapshot from externally-restored parts — the
-    /// durability layer's decode path, which reconstructs published
-    /// snapshots without a live estimator. The caller vouches that
-    /// `model` (if any) was validated; the same freezing as
-    /// [`QuickSel::snapshot`](crate::QuickSel::snapshot) applies, so the
-    /// rebuilt snapshot serves batched estimates identically.
-    pub fn from_parts(
-        domain: Arc<Domain>,
-        model: Option<Arc<UniformMixtureModel>>,
-        version: u64,
-        observed: usize,
-    ) -> Self {
-        Self::new(domain, model, version, observed)
+        Self { domain, model, version, observed }
     }
 
     /// The training version this snapshot was taken at: 0 before the
@@ -93,12 +78,6 @@ impl ModelSnapshot {
     pub fn domain(&self) -> &Domain {
         &self.domain
     }
-
-    /// The SoA-frozen view of the model, if trained — the batched
-    /// estimation kernel [`Estimate::estimate_many`] serves from.
-    pub fn frozen(&self) -> Option<&FrozenModel> {
-        self.frozen.as_deref()
-    }
 }
 
 impl Estimate for ModelSnapshot {
@@ -110,15 +89,14 @@ impl Estimate for ModelSnapshot {
         estimate_model_or_prior(&self.domain, self.model.as_deref(), rect)
     }
 
-    /// Batched estimation through the pre-frozen SoA kernel; before the
-    /// first refine, the shared `estimate_model_or_prior` read path
-    /// answers per rect, so the prior has exactly one implementation.
-    /// Compares equal (`==`) to per-rect
-    /// [`estimate`](Estimate::estimate) — the kernel's exactness
-    /// contract, see [`crate::batch`].
+    /// Batched estimation through the model's kernel; before the first
+    /// refine, the shared `estimate_model_or_prior` read path answers
+    /// per rect, so the prior has exactly one implementation. Compares
+    /// equal (`==`) to per-rect [`estimate`](Estimate::estimate) — the
+    /// kernel's exactness contract, see [`crate::batch`].
     fn estimate_many(&self, rects: &[Rect]) -> Vec<f64> {
-        match &self.frozen {
-            Some(f) => f.estimate_many(rects),
+        match &self.model {
+            Some(m) => m.estimate_many(rects),
             None => rects.iter().map(|r| estimate_model_or_prior(&self.domain, None, r)).collect(),
         }
     }
@@ -127,8 +105,8 @@ impl Estimate for ModelSnapshot {
     /// layer regroups one batch per shard as index lists and answers
     /// each group from this one snapshot without cloning a rect.
     fn estimate_gather(&self, rects: &[Rect], indexes: &[usize]) -> Vec<f64> {
-        match &self.frozen {
-            Some(f) => f.estimate_gather(rects, indexes),
+        match &self.model {
+            Some(m) => m.estimate_gather(rects, indexes),
             None => indexes
                 .iter()
                 .map(|&i| estimate_model_or_prior(&self.domain, None, &rects[i]))

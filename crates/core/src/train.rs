@@ -9,14 +9,17 @@
 //! subpopulation set is unchanged, a refine folds only the new queries'
 //! `A` rows into the factor (in-place Givens updates) and solves with
 //! two triangular substitutions, skipping both the O(n·m²) Gram rebuild
-//! and the O(m³) factorization.
+//! and the O(m³) factorization. The supports themselves are laid out
+//! once per cold build and shared by the grid and every model the
+//! trainer publishes, so a warm refine allocates only its weights.
 
 use crate::assembly::SubpopGrid;
-use crate::model::UniformMixtureModel;
+use crate::model::{Supports, UniformMixtureModel};
 use crate::state::{StateError, TrainerState};
 use quicksel_data::ObservedQuery;
 use quicksel_geometry::Rect;
 use quicksel_linalg::{CsrMatrix, DMatrix, LinalgError, QpProblem, UpdatableCholesky};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Diagnostics from one training run.
@@ -122,7 +125,8 @@ pub fn build_qp(subpops: &[Rect], queries: &[ObservedQuery]) -> QpProblem {
 /// latency by design.
 #[derive(Debug, Clone)]
 pub struct IncrementalTrainer {
-    subpops: Vec<Rect>,
+    /// The grid over the shared supports, which every published model
+    /// also holds.
     grid: SubpopGrid,
     a: CsrMatrix,
     s: Vec<f64>,
@@ -141,7 +145,8 @@ impl IncrementalTrainer {
     ///
     /// # Panics
     ///
-    /// If `lambda` is not positive and finite.
+    /// If `lambda` is not positive and finite, or if the supports
+    /// disagree on dimensionality or one has zero volume.
     pub fn cold(
         subpops: Vec<Rect>,
         queries: &[ObservedQuery],
@@ -151,7 +156,7 @@ impl IncrementalTrainer {
         assert!(lambda > 0.0 && lambda.is_finite(), "λ must be positive and finite, got {lambda}");
         let m = subpops.len();
         let t0 = Instant::now();
-        let grid = SubpopGrid::new(&subpops);
+        let grid = SubpopGrid::over(Arc::new(Supports::new(subpops)));
         let mut system = grid.assemble_q();
         // The dense `A` exists only for the Gram kernel, which the sparse
         // rows spare its scan for nonzeros.
@@ -177,7 +182,7 @@ impl IncrementalTrainer {
             system.add_diagonal(ridge_abs);
         }
         let factor = UpdatableCholesky::factor(system)?;
-        let trainer = Self { subpops, grid, a, s, ats, factor, lambda, ridge_abs };
+        let trainer = Self { grid, a, s, ats, factor, lambda, ridge_abs };
         let weights = trainer.solve_weights();
         let solve_time = t1.elapsed();
 
@@ -192,7 +197,7 @@ impl IncrementalTrainer {
             evicted_rows: 0,
             history_len: 0,
         };
-        let model = UniformMixtureModel::new(trainer.subpops.clone(), weights);
+        let model = trainer.publish(weights);
         Ok((trainer, model, report))
     }
 
@@ -213,6 +218,11 @@ impl IncrementalTrainer {
         UpdatableCholesky::factor(system)
     }
 
+    /// A model of `weights` over the shared supports.
+    fn publish(&self, weights: Vec<f64>) -> UniformMixtureModel {
+        UniformMixtureModel::with_supports(Arc::clone(self.grid.supports()), weights)
+    }
+
     fn solve_weights(&self) -> Vec<f64> {
         // rhs = λAᵀs
         let rhs: Vec<f64> = self.ats.iter().map(|v| v * self.lambda).collect();
@@ -226,12 +236,12 @@ impl IncrementalTrainer {
 
     /// Number of cached subpopulations `m`.
     pub fn subpop_count(&self) -> usize {
-        self.subpops.len()
+        self.grid.len()
     }
 
     /// The cached supports.
     pub fn subpops(&self) -> &[Rect] {
-        &self.subpops
+        self.grid.supports().rects()
     }
 
     /// Observed queries folded into the cached system so far (excluding
@@ -244,7 +254,7 @@ impl IncrementalTrainer {
     /// factor and re-solves without reassembling Q/A, recomputing the
     /// Gram product, or refactoring.
     pub fn refine(&mut self, new_queries: &[ObservedQuery]) -> (UniformMixtureModel, TrainReport) {
-        let m = self.subpops.len();
+        let m = self.grid.len();
         let t0 = Instant::now();
         let mut scratch = self.grid.scratch();
         // Constraint rows come out of the stateful grid scratch one at a
@@ -279,7 +289,7 @@ impl IncrementalTrainer {
             evicted_rows: 0,
             history_len: 0,
         };
-        (UniformMixtureModel::new(self.subpops.clone(), weights), report)
+        (self.publish(weights), report)
     }
 
     /// Applies one history-compaction edit to the cached system: the
@@ -299,7 +309,7 @@ impl IncrementalTrainer {
     ) -> Result<(), LinalgError> {
         let n = self.trained_queries();
         assert!(replaced < n && removed < n && replaced != removed, "edit indices out of range");
-        let m = self.subpops.len();
+        let m = self.grid.len();
         // Fold the two old constraint rows out of Aᵀs; they are densified
         // only for the factor downdates.
         let old_rows = [replaced, removed].map(|idx| self.a.dense_row(idx + 1));
@@ -335,7 +345,7 @@ impl IncrementalTrainer {
     /// refines are bit-identical to this one's.
     pub fn export_state(&self) -> TrainerState {
         TrainerState {
-            subpops: self.subpops.clone(),
+            subpops: self.subpops().to_vec(),
             a: self.a.clone(),
             s: self.s.clone(),
             ats: self.ats.clone(),
@@ -350,11 +360,11 @@ impl IncrementalTrainer {
     /// structural invariant first — mismatched shapes, non-finite
     /// entries, degenerate supports, or a λ that is not positive and
     /// finite reject with a typed [`StateError`] instead of panicking
-    /// downstream. The subpopulation grid is rebuilt deterministically
-    /// from the captured supports. A capture that carried Woodbury
-    /// pending rows (written before factors were updated in place)
-    /// refactors its system, assembled fresh, instead of adopting its
-    /// factor.
+    /// downstream. The shared supports and their grid are rebuilt
+    /// deterministically from the captured rects, after validation. A
+    /// capture that carried Woodbury pending rows (written before
+    /// factors were updated in place) refactors its system, assembled
+    /// fresh, instead of adopting its factor.
     pub fn try_from_state(state: TrainerState) -> Result<Self, StateError> {
         let invalid = |context: &'static str| StateError::Invalid { context };
         let m = state.subpops.len();
@@ -398,7 +408,7 @@ impl IncrementalTrainer {
         {
             return Err(invalid("trainer capture has invalid lambda/ridge"));
         }
-        let grid = SubpopGrid::new(&state.subpops);
+        let grid = SubpopGrid::over(Arc::new(Supports::new(state.subpops)));
         let factor = if state.legacy_pending_rows {
             Self::fresh_factor(&grid, &state.a, state.lambda, state.ridge_abs)
                 .map_err(|_| invalid("captured system with pending rows does not factor"))?
@@ -407,7 +417,6 @@ impl IncrementalTrainer {
                 .map_err(|_| invalid("captured Cholesky factor is not a valid lower triangle"))?
         };
         Ok(Self {
-            subpops: state.subpops,
             grid,
             a: state.a,
             s: state.s,

@@ -1,8 +1,8 @@
 //! Scalar/batched equivalence suite for the SoA estimation kernel.
 //!
 //! The contract under test (see `quicksel_core::batch`): for any model
-//! and any rect batch, `FrozenModel::estimate_many` equals per-rect
-//! scalar `UniformMixtureModel::estimate` — not just within tolerance
+//! and any rect batch, `UniformMixtureModel::estimate_many` equals
+//! per-rect scalar `UniformMixtureModel::estimate` — not just within tolerance
 //! but comparing equal (`==`), because the kernel is term-order
 //! identical to the scalar path. The property tests still assert the
 //! issue-level `1e-12` bound first so a future, deliberately
@@ -10,7 +10,7 @@
 //! check does.
 
 use proptest::prelude::*;
-use quicksel_core::{FrozenModel, UniformMixtureModel};
+use quicksel_core::UniformMixtureModel;
 use quicksel_geometry::Rect;
 
 /// Builds rects from `(lo, len)` pairs chunked into `dim`-length groups.
@@ -25,16 +25,12 @@ fn rects_from_raw(raw: &[(f64, f64)], dim: usize) -> Vec<Rect> {
 
 /// Asserts the full equivalence contract for one (model, batch) pair.
 fn assert_equivalent(model: &UniformMixtureModel, probes: &[Rect]) {
-    let frozen = FrozenModel::new(model);
-    assert_eq!(frozen.len(), model.len());
-    let batched = frozen.estimate_many(probes);
+    let batched = model.estimate_many(probes);
     assert_eq!(batched.len(), probes.len());
-    let mut reused = vec![f64::NAN; 3]; // pre-polluted: _into must clear
-    frozen.estimate_many_into(probes, &mut reused);
     // The gather form over a reversed index list answers the same
     // rects in reversed order — index shuffling, not rect cloning.
     let reversed: Vec<usize> = (0..probes.len()).rev().collect();
-    let gathered = frozen.estimate_gather(probes, &reversed);
+    let gathered = model.estimate_gather(probes, &reversed);
     for (&i, &g) in reversed.iter().zip(&gathered) {
         assert_eq!(g, batched[i], "gather diverged from estimate_many at index {i}");
     }
@@ -45,15 +41,12 @@ fn assert_equivalent(model: &UniformMixtureModel, probes: &[Rect]) {
             "probe {i}: scalar {scalar} vs batched {b} beyond 1e-12"
         );
         assert_eq!(scalar, b, "probe {i}: batched diverged from scalar");
-        assert_eq!(frozen.estimate(p), scalar, "probe {i}: single-rect kernel diverged");
         assert_eq!(
-            frozen.estimate_raw(p),
-            model.estimate_raw(p),
-            "probe {i}: raw (unclamped) kernel diverged"
+            model.estimate_many(std::slice::from_ref(p)),
+            [scalar],
+            "probe {i}: single-rect kernel diverged"
         );
-        assert_eq!(reused[i], b, "probe {i}: estimate_many_into diverged from estimate_many");
     }
-    assert_eq!(reused.len(), probes.len(), "estimate_many_into did not clear its buffer");
 }
 
 proptest! {
@@ -116,8 +109,7 @@ proptest! {
 #[test]
 fn empty_batch_and_empty_model() {
     let model = UniformMixtureModel::new(vec![Rect::from_bounds(&[(0.0, 1.0)])], vec![1.0]);
-    let frozen = FrozenModel::new(&model);
-    assert!(frozen.estimate_many(&[]).is_empty());
+    assert!(model.estimate_many(&[]).is_empty());
 
     let empty = UniformMixtureModel::new(Vec::new(), Vec::new());
     assert_equivalent(&empty, &[Rect::from_bounds(&[(0.0, 1.0)])]);
@@ -151,7 +143,7 @@ fn zero_dimensional_model_keeps_the_empty_product() {
         vec![0.5, 0.25],
     );
     assert_equivalent(&model, &[Rect::from_bounds(&[]), Rect::from_bounds(&[])]);
-    assert_eq!(FrozenModel::new(&model).estimate(&Rect::from_bounds(&[])), 0.75);
+    assert_eq!(model.estimate_many(&[Rect::from_bounds(&[])]), [0.75]);
 }
 
 #[test]
@@ -162,7 +154,7 @@ fn mismatched_probe_dimensionality_is_rejected() {
     // silently skip the dimensions it lacks instead of failing.
     let model =
         UniformMixtureModel::new(vec![Rect::from_bounds(&[(0.0, 1.0), (0.0, 1.0)])], vec![1.0]);
-    let _ = FrozenModel::new(&model).estimate(&Rect::from_bounds(&[(0.0, 1.0)]));
+    let _ = model.estimate_many(&[Rect::from_bounds(&[(0.0, 1.0)])]);
 }
 
 #[test]
@@ -179,5 +171,5 @@ fn negative_weights_clamp_identically() {
         Rect::from_bounds(&[(2.0, 3.0)]),
     ];
     assert_equivalent(&model, &probes);
-    assert_eq!(FrozenModel::new(&model).estimate(&probes[0]), 0.0);
+    assert_eq!(model.estimate_many(&probes[..1]), [0.0]);
 }

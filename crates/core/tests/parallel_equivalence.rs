@@ -10,7 +10,7 @@
 
 use proptest::prelude::*;
 use quicksel_core::train::build_qp;
-use quicksel_core::{FrozenModel, SubpopGrid, UniformMixtureModel};
+use quicksel_core::{SubpopGrid, UniformMixtureModel};
 use quicksel_data::ObservedQuery;
 use quicksel_geometry::{Domain, Rect};
 use quicksel_linalg::{CsrMatrix, UpdatableCholesky};
@@ -123,15 +123,14 @@ fn batched_estimation_is_thread_count_invariant() {
         })
         .collect();
     let model = UniformMixtureModel::new(rects, weights);
-    let frozen = FrozenModel::new(&model);
     let probes: Vec<Rect> = queries(2, 500).into_iter().map(|q| q.rect).collect();
     let scalar: Vec<f64> = probes.iter().map(|r| model.estimate(r)).collect();
     for threads in THREAD_COUNTS {
         let pool = ThreadPool::new(threads);
-        let batched = with_pool(&pool, || frozen.estimate_many(&probes));
+        let batched = with_pool(&pool, || model.estimate_many(&probes));
         assert_eq!(scalar, batched, "batched kernel diverged at {threads} threads");
         let indexes: Vec<usize> = (0..probes.len()).rev().collect();
-        let gathered = with_pool(&pool, || frozen.estimate_gather(&probes, &indexes));
+        let gathered = with_pool(&pool, || model.estimate_gather(&probes, &indexes));
         for (k, &i) in indexes.iter().enumerate() {
             assert_eq!(scalar[i], gathered[k], "gather diverged at {threads} threads");
         }
@@ -179,12 +178,11 @@ proptest! {
         let weights: Vec<f64> =
             (0..rects.len()).map(|z| ((z % 5) as f64 - 1.0) * 0.004).collect();
         let model = UniformMixtureModel::new(rects, weights);
-        let frozen = FrozenModel::new(&model);
         let probes: Vec<Rect> = queries(dim, b).into_iter().map(|q| q.rect).collect();
         let scalar: Vec<f64> = probes.iter().map(|r| model.estimate(r)).collect();
         for threads in THREAD_COUNTS {
             let batched =
-                with_pool(&ThreadPool::new(threads), || frozen.estimate_many(&probes));
+                with_pool(&ThreadPool::new(threads), || model.estimate_many(&probes));
             prop_assert_eq!(&scalar, &batched, "diverged at {} threads", threads);
         }
     }

@@ -2,7 +2,7 @@
 //! workloads.
 
 use proptest::prelude::*;
-use quicksel_core::{FrozenModel, QuickSel, RefinePolicy, UniformMixtureModel};
+use quicksel_core::{QuickSel, RefinePolicy, UniformMixtureModel};
 use quicksel_data::{Estimate, Learn, ObservedQuery};
 use quicksel_geometry::{Domain, Rect};
 
@@ -74,7 +74,7 @@ proptest! {
 
     /// A mixture with non-negative weights (the trained supports,
     /// reweighted by `|w|`) is monotone under containment, in the scalar
-    /// estimate and in `FrozenModel::estimate_many`. The trained weights
+    /// estimate and in the batched `estimate_many`. The trained weights
     /// are often negative, so this says nothing of the trained estimator.
     #[test]
     fn nonnegative_mixture_is_monotone_under_containment(obs in prop::collection::vec(consistent_observation(), 2..8), probe in arb_rect()) {
@@ -87,7 +87,7 @@ proptest! {
         let model = UniformMixtureModel::new(trained.rects().to_vec(), weights);
         let grown = probe.hull(&Rect::from_bounds(&[(0.0, 9.0), (0.0, 9.0)]));
         prop_assert!(model.estimate_raw(&probe) <= model.estimate_raw(&grown) + 1e-9);
-        let batched = FrozenModel::new(&model).estimate_many(&[probe, grown]);
+        let batched = model.estimate_many(&[probe, grown]);
         prop_assert!(batched[0] <= batched[1] + 1e-9);
     }
 

@@ -239,8 +239,8 @@ pub trait Estimate {
     ///
     /// This is the batch primitive: the default maps
     /// [`estimate`](Self::estimate), and implementations with an
-    /// amortizable setup (SoA model freezing, snapshot loading) override
-    /// it. The result must equal element-wise single-call estimation.
+    /// amortizable setup (a blocked batch kernel, snapshot loading)
+    /// override it. The result must equal element-wise single-call estimation.
     fn estimate_many(&self, rects: &[Rect]) -> Vec<f64> {
         rects.iter().map(|r| self.estimate(r)).collect()
     }
@@ -354,66 +354,6 @@ pub trait SnapshotSource: Learn {
     fn snapshot_shared(&self) -> Arc<dyn Estimate + Send + Sync>;
 }
 
-// Forwarding impls so boxed trait objects satisfy the estimator traits
-// themselves: the sharded serving layer is generic over `L:
-// SnapshotSource` and instantiating it with `Box<dyn SnapshotSource +
-// Send>` lets one registry hold heterogeneous learners (QuickSel next to
-// any baseline). Every method forwards — including the provided ones —
-// so a boxed learner behaves bit-identically to the unboxed value.
-impl<T: Estimate + ?Sized> Estimate for Box<T> {
-    fn name(&self) -> &'static str {
-        (**self).name()
-    }
-    fn estimate(&self, rect: &Rect) -> f64 {
-        (**self).estimate(rect)
-    }
-    fn estimate_many(&self, rects: &[Rect]) -> Vec<f64> {
-        (**self).estimate_many(rects)
-    }
-    fn estimate_gather(&self, rects: &[Rect], indexes: &[usize]) -> Vec<f64> {
-        (**self).estimate_gather(rects, indexes)
-    }
-    fn param_count(&self) -> usize {
-        (**self).param_count()
-    }
-}
-
-impl<T: Learn + ?Sized> Learn for Box<T> {
-    fn observe_batch(&mut self, batch: &[ObservedQuery]) {
-        (**self).observe_batch(batch)
-    }
-    fn observe(&mut self, query: &ObservedQuery) {
-        (**self).observe(query)
-    }
-    fn sync_data(&mut self, table: &Table, changed_rows: usize) {
-        (**self).sync_data(table, changed_rows)
-    }
-    fn refine(&mut self) -> Result<RefineOutcome, EstimatorError> {
-        (**self).refine()
-    }
-    fn last_error(&self) -> Option<&EstimatorError> {
-        (**self).last_error()
-    }
-    fn training_version(&self) -> u64 {
-        (**self).training_version()
-    }
-    fn history_len(&self) -> usize {
-        (**self).history_len()
-    }
-    fn evicted_rows(&self) -> u64 {
-        (**self).evicted_rows()
-    }
-    fn drift_resamples(&self) -> u64 {
-        (**self).drift_resamples()
-    }
-}
-
-impl<T: SnapshotSource + ?Sized> SnapshotSource for Box<T> {
-    fn snapshot_shared(&self) -> Arc<dyn Estimate + Send + Sync> {
-        (**self).snapshot_shared()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -512,25 +452,6 @@ mod tests {
         // The two encodings of zero route identically.
         let neg = Rect::from_bounds(&[(-0.0, 5.0), (1.0, 2.0)]);
         assert_eq!(route_hash(&a), route_hash(&neg));
-    }
-
-    #[test]
-    fn boxed_learner_forwards_every_channel() {
-        let domain = Domain::of_reals(&[("x", 0.0, 1.0)]);
-        let mut boxed: Box<dyn Learn> = Box::new(Constant(0.5));
-        let q = ObservedQuery::new(domain.full_rect(), 1.0);
-        boxed.observe(&q);
-        boxed.observe_batch(&[q]);
-        assert_eq!(boxed.refine(), Ok(RefineOutcome::UpToDate));
-        assert!(boxed.last_error().is_none());
-        assert_eq!(boxed.training_version(), 0);
-        assert_eq!(boxed.history_len(), 0);
-        assert_eq!(boxed.evicted_rows(), 0);
-        assert_eq!(boxed.drift_resamples(), 0);
-        assert_eq!(boxed.estimate(&domain.full_rect()), 0.5);
-        assert_eq!(boxed.estimate_many(&[domain.full_rect()]), vec![0.5]);
-        assert_eq!(boxed.param_count(), 1);
-        assert_eq!(boxed.name(), "constant");
     }
 
     #[test]

@@ -90,9 +90,3 @@ pub use registry::{
 pub use service::{HealthState, SelectivityService, ServiceStats, ShardRecovery, SharedSnapshot};
 pub use shard::{ShardedService, ShardedStats, BLEND_THRESHOLD};
 pub use swap::ArcCell;
-
-/// A registry over boxed heterogeneous learners: any mix of
-/// [`SnapshotSource`](quicksel_data::SnapshotSource) implementations —
-/// QuickSel next to snapshot-capable baselines — behind one
-/// [`CardinalityProvider`].
-pub type DynRegistry = EstimatorRegistry<Box<dyn quicksel_data::SnapshotSource + Send>>;

@@ -21,7 +21,7 @@
 use crate::registry::EstimatorRegistry;
 use crate::service::SharedSnapshot;
 use crate::shard::ShardedService;
-use quicksel_data::{Estimate, Learn, ObservedQuery, SnapshotSource, Table};
+use quicksel_data::{Learn, ObservedQuery, SnapshotSource, Table};
 use quicksel_geometry::{Domain, Predicate, Rect};
 use std::cell::{Cell, RefCell};
 use std::collections::HashMap;
@@ -388,8 +388,9 @@ impl LearnerProvider {
 impl CardinalityProvider for LearnerProvider {
     /// Batched probes under one lock acquisition: the learner is locked
     /// once for the whole batch and answers through its own
-    /// [`Estimate::estimate_many`] (for QuickSel, the SoA kernel with a
-    /// single freeze).
+    /// [`Estimate::estimate_many`](quicksel_data::Estimate::estimate_many)
+    /// (for QuickSel, one blocked kernel pass over the model's shared
+    /// support columns).
     fn estimate_many(&self, table: &TableId, preds: &[Predicate]) -> Vec<f64> {
         match self.entry(table) {
             Some(e) => {

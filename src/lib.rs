@@ -112,9 +112,7 @@ pub use quicksel_replica as replica;
 pub use quicksel_service as service;
 
 pub use quicksel_baselines::{AutoHist, AutoSample, Isomer, IsomerQp, QueryModel, STHoles};
-pub use quicksel_core::{
-    FrozenModel, ModelSnapshot, QuickSel, QuickSelBuilder, QuickSelConfig, RefinePolicy,
-};
+pub use quicksel_core::{ModelSnapshot, QuickSel, QuickSelBuilder, QuickSelConfig, RefinePolicy};
 pub use quicksel_data::{
     Estimate, EstimatorError, Learn, ObservedQuery, RefineOutcome, SnapshotSource, Table,
 };
@@ -127,9 +125,9 @@ pub use quicksel_net::{
 pub use quicksel_persist::{DurabilityOptions, PersistError, PersistLearner};
 pub use quicksel_replica::{ReplicaAgent, ReplicaBackend, ReplicaOptions};
 pub use quicksel_service::{
-    CachedProvider, CardinalityProvider, DynRegistry, EstimatorRegistry, HealthState,
-    LearnerProvider, RecoveryReport, RegistryStats, SelectivityService, ServiceStats,
-    ShardRecovery, ShardedService, ShardedStats, SharedSnapshot, TableId,
+    CachedProvider, CardinalityProvider, EstimatorRegistry, HealthState, LearnerProvider,
+    RecoveryReport, RegistryStats, SelectivityService, ServiceStats, ShardRecovery, ShardedService,
+    ShardedStats, SharedSnapshot, TableId,
 };
 
 /// Convenience imports covering the common workflow.
