@@ -33,9 +33,6 @@ pub struct QuickSelConfig {
     pub subpops_per_query: usize,
     /// Hard cap on the number of subpopulations. Paper: 4000.
     pub max_subpops: usize,
-    /// Neighbours averaged when sizing a subpopulation (§3.3 step 3).
-    /// Paper: 10.
-    pub size_neighbors: usize,
     /// Multiplier on the neighbour distance when sizing `G_z` so that
     /// neighbouring subpopulations "slightly overlap" (§3.3 step 3).
     pub overlap_factor: f64,
@@ -55,14 +52,11 @@ pub struct QuickSelConfig {
     /// retains everything and is bit-identical to the historic
     /// unbounded path.
     pub max_history: usize,
-    /// Drift trigger: a warm refine whose constraint violation exceeds
-    /// `drift_ratio ×` the tracked violation baseline (EWMA over recent
-    /// warm refines) counts as a drift strike. Must be > 1 to be
-    /// meaningful; larger is less sensitive.
-    pub drift_ratio: f64,
     /// Consecutive drift strikes required before the next refine is
     /// forced cold (resampling subpopulations against the current
-    /// workload). `usize::MAX` disables drift detection.
+    /// workload). A strike is a warm refine whose constraint violation
+    /// exceeds 3× the tracked violation baseline (an EWMA over recent
+    /// warm refines). `usize::MAX` disables drift detection.
     pub drift_patience: usize,
 }
 
@@ -74,12 +68,10 @@ impl Default for QuickSelConfig {
             points_per_query: 10,
             subpops_per_query: 4,
             max_subpops: 4000,
-            size_neighbors: 10,
             overlap_factor: 1.2,
             refine_policy: RefinePolicy::EveryQuery,
             seed: 0x5EED,
             max_history: usize::MAX,
-            drift_ratio: 3.0,
             drift_patience: 3,
         }
     }
@@ -136,7 +128,6 @@ mod tests {
     fn history_unbounded_by_default() {
         let c = QuickSelConfig::default();
         assert_eq!(c.max_history, usize::MAX);
-        assert!(c.drift_ratio > 1.0);
         assert!(c.drift_patience >= 1);
     }
 }

@@ -79,6 +79,14 @@ pub struct QuickSel {
     prior_kept: bool,
 }
 
+/// Neighbours averaged when sizing a subpopulation: the paper's k
+/// (§3.3 step 3).
+const SIZE_NEIGHBORS: usize = 10;
+
+/// Drift trigger: a warm refine whose constraint violation exceeds this
+/// multiple of the violation baseline counts as a drift strike.
+const DRIFT_RATIO: f64 = 3.0;
+
 /// Smoothing factor of the warm-refine violation baseline.
 const DRIFT_EWMA_ALPHA: f64 = 0.2;
 
@@ -266,7 +274,7 @@ impl QuickSel {
             &self.domain,
             &self.point_pool,
             m,
-            self.config.size_neighbors,
+            SIZE_NEIGHBORS,
             self.config.overlap_factor,
             &mut self.rng,
         );
@@ -328,7 +336,7 @@ impl QuickSel {
     }
 
     /// Tracks the constraint-violation trend across refines. A warm
-    /// refine whose violation breaks `drift_ratio ×` the EWMA baseline
+    /// refine whose violation breaks `DRIFT_RATIO ×` the EWMA baseline
     /// counts as a strike; `drift_patience` consecutive strikes force
     /// the next refine cold (resampling supports against the current
     /// workload). Cold rebuilds clear the baseline — it re-seeds from
@@ -352,7 +360,7 @@ impl QuickSel {
             self.violation_ewma = violation;
             return;
         }
-        if violation > self.config.drift_ratio * baseline.max(DRIFT_VIOLATION_FLOOR) {
+        if violation > DRIFT_RATIO * baseline.max(DRIFT_VIOLATION_FLOOR) {
             self.drift_strikes += 1;
             if self.drift_strikes as usize >= self.config.drift_patience.max(1) {
                 self.force_cold = true;
@@ -759,12 +767,6 @@ impl QuickSelBuilder {
         self
     }
 
-    /// Neighbours averaged when sizing a subpopulation (paper: 10).
-    pub fn size_neighbors(mut self, k: usize) -> Self {
-        self.config.size_neighbors = k;
-        self
-    }
-
     /// Multiplier on the neighbour distance when sizing supports.
     pub fn overlap_factor(mut self, factor: f64) -> Self {
         self.config.overlap_factor = factor;
@@ -782,13 +784,6 @@ impl QuickSelBuilder {
     /// everything.
     pub fn max_history(mut self, budget: usize) -> Self {
         self.config.max_history = budget;
-        self
-    }
-
-    /// Violation-over-baseline ratio that counts a warm refine as a
-    /// drift strike.
-    pub fn drift_ratio(mut self, ratio: f64) -> Self {
-        self.config.drift_ratio = ratio;
         self
     }
 
@@ -985,12 +980,10 @@ mod tests {
             .points_per_query(5)
             .subpops_per_query(2)
             .max_subpops(100)
-            .size_neighbors(4)
             .overlap_factor(1.5)
             .refine_policy(RefinePolicy::EveryK(10))
             .seed(99)
             .max_history(500)
-            .drift_ratio(4.0)
             .drift_patience(5)
             .build();
         let c = qs.config();
@@ -999,12 +992,10 @@ mod tests {
         assert_eq!(c.points_per_query, 5);
         assert_eq!(c.subpops_per_query, 2);
         assert_eq!(c.max_subpops, 100);
-        assert_eq!(c.size_neighbors, 4);
         assert_eq!(c.overlap_factor, 1.5);
         assert_eq!(c.refine_policy, RefinePolicy::EveryK(10));
         assert_eq!(c.seed, 99);
         assert_eq!(c.max_history, 500);
-        assert_eq!(c.drift_ratio, 4.0);
         assert_eq!(c.drift_patience, 5);
         let pinned = QuickSel::builder(domain()).fixed_subpops(64).build();
         assert_eq!(pinned.config().target_subpops(1_000_000), 64);
@@ -1046,7 +1037,6 @@ mod tests {
         let mut qs = QuickSel::builder(domain())
             .refine_policy(RefinePolicy::Manual)
             .fixed_subpops(16)
-            .drift_ratio(3.0)
             .drift_patience(2)
             .build();
         for i in 0..10 {

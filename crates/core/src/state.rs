@@ -71,12 +71,6 @@ pub struct TrainerState {
     pub lambda: f64,
     /// Absolute ridge baked into the cached system at the cold build.
     pub ridge_abs: f64,
-    /// True for a capture decoded from a format that carried Woodbury
-    /// pending rows (v1 or v2) and had some: `factor_lower` then lacks
-    /// those rows, so a restore refactors the system, assembled fresh.
-    /// Exports always set it false and the current format does not
-    /// store it, so restore such a capture before encoding it again.
-    pub legacy_pending_rows: bool,
 }
 
 /// A complete capture of a [`QuickSel`](crate::QuickSel) estimator.
@@ -93,8 +87,7 @@ pub struct QuickSelState {
     /// Workload-aware points generated at observe time, in query order.
     pub point_pool: Vec<Vec<f64>>,
     /// Per-query count of pool points, parallel to `queries` (the pool
-    /// is their concatenation). Older captures reconstruct this from the
-    /// points-per-query setting.
+    /// is their concatenation).
     pub point_counts: Vec<u32>,
     /// Length of the compacted summary prefix of `queries`.
     pub compacted_len: usize,

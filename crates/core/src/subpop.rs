@@ -452,9 +452,10 @@ mod tests {
 
     #[test]
     fn zero_k_neighbors_falls_back_to_floor_like_reference() {
-        // `size_neighbors(0)` is a public knob: the reference path's 0/0
-        // mean is NaN, resolved to the 1e-6 floor; the grid path must
-        // not panic and must produce identical rects.
+        // `size_subpopulations` is public and takes any k, 0 included:
+        // the reference path's 0/0 mean is NaN, resolved to the 1e-6
+        // floor; the grid path must not panic and must produce identical
+        // rects.
         let d = domain();
         let centers = vec![vec![2.0, 2.0], vec![7.0, 7.0], vec![4.0, 6.0]];
         let fast = size_subpopulations(&d, &centers, 0, 1.2);

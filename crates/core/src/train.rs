@@ -115,10 +115,8 @@ pub fn build_qp(subpops: &[Rect], queries: &[ObservedQuery]) -> QpProblem {
 /// system and folds into the factor as an in-place rank-1 update, and
 /// history compaction folds evicted rows back out as downdates. `Q` and
 /// `AᵀA` are pure functions of the supports and of `A`, so they are not
-/// kept: where an update cannot apply (a downdate that fails, or a
-/// restored capture that still carries Woodbury pending rows), the
-/// system is assembled fresh, `Q` from the grid and `AᵀA` from `A`, and
-/// refactored.
+/// kept: where a downdate fails, the system is assembled fresh, `Q` from
+/// the grid and `AᵀA` from `A`, and refactored.
 ///
 /// The factor is the one m×m matrix held (128 MB at `m = 4000`), beside
 /// the growing sparse constraint matrix; it trades memory for refine
@@ -352,7 +350,6 @@ impl IncrementalTrainer {
             factor_lower: self.factor.lower(),
             lambda: self.lambda,
             ridge_abs: self.ridge_abs,
-            legacy_pending_rows: false,
         }
     }
 
@@ -361,10 +358,8 @@ impl IncrementalTrainer {
     /// entries, degenerate supports, or a λ that is not positive and
     /// finite reject with a typed [`StateError`] instead of panicking
     /// downstream. The shared supports and their grid are rebuilt
-    /// deterministically from the captured rects, after validation. A
-    /// capture that carried Woodbury pending rows (written before
-    /// factors were updated in place) refactors its system, assembled
-    /// fresh, instead of adopting its factor.
+    /// deterministically from the captured rects, after validation, and
+    /// the captured factor is adopted as it is.
     pub fn try_from_state(state: TrainerState) -> Result<Self, StateError> {
         let invalid = |context: &'static str| StateError::Invalid { context };
         let m = state.subpops.len();
@@ -409,13 +404,8 @@ impl IncrementalTrainer {
             return Err(invalid("trainer capture has invalid lambda/ridge"));
         }
         let grid = SubpopGrid::over(Arc::new(Supports::new(state.subpops)));
-        let factor = if state.legacy_pending_rows {
-            Self::fresh_factor(&grid, &state.a, state.lambda, state.ridge_abs)
-                .map_err(|_| invalid("captured system with pending rows does not factor"))?
-        } else {
-            UpdatableCholesky::from_lower(state.factor_lower)
-                .map_err(|_| invalid("captured Cholesky factor is not a valid lower triangle"))?
-        };
+        let factor = UpdatableCholesky::from_lower(state.factor_lower)
+            .map_err(|_| invalid("captured Cholesky factor is not a valid lower triangle"))?;
         Ok(Self {
             grid,
             a: state.a,

@@ -25,41 +25,29 @@ use quicksel_linalg::{CsrMatrix, DMatrix};
 
 /// Magic of an estimator-state container.
 pub const STATE_MAGIC: [u8; 4] = *b"QSES";
-/// Current estimator-state format version.
+/// The estimator-state format version: the one layout this build writes
+/// and the only one it reads. A container stamped with any other version
+/// is refused with [`PersistError::UnsupportedVersion`].
 ///
-/// * **v1** — unbounded history: no history-budget config, no
-///   compaction bookkeeping, no drift-detector state, unsigned pending
-///   Woodbury rows.
-/// * **v2** — adds `max_history`/`drift_ratio`/`drift_patience` to the
-///   config, per-query point counts, the compacted-prefix bookkeeping,
-///   drift-detector state, and per-row signs on the trainer's pending
-///   updates. v1 containers still decode: the new fields restore to the
-///   exact semantics a v1 estimator had (unbounded history, default
-///   drift knobs, all-positive pending rows), and `point_counts` is
-///   reconstructed from the points-per-query setting.
+/// The trainer section keeps only what cannot be recomputed: `A` as
+/// compressed sparse rows (per row, the nonzero count, the ascending
+/// column indices, then the values), `s`, `Aᵀs`, and the factor as its
+/// order followed by the m(m+1)/2 entries of its lower triangle, row by
+/// row. `Q` and `AᵀA` are pure functions of the supports and of `A`.
 ///
-/// * **v3** — the trainer section keeps only what cannot be recomputed:
-///   `A` as compressed sparse rows (per row, the nonzero count, the
-///   ascending column indices, then the values), `s`, `Aᵀs`, and the
-///   factor as its order followed by the m(m+1)/2 entries of its lower
-///   triangle, row by row. `Q`, `AᵀA` and the legacy Woodbury fields
-///   (solver scale, pending rows, solves, rank and signs) are gone. v1
-///   and v2 containers still decode: their `Q` and `AᵀA` are skipped
-///   unread and their dense `A` converted; a capture that carried pending
-///   rows is marked, and restoring it refactors its system.
+/// Five slots are reserved: they hold knobs the estimator no longer
+/// has. The encoder writes the values under which the estimator behaves
+/// as it does now, and the decoder reads them and ignores them:
 ///
-/// Three slots of every version are reserved: they once held knobs of a
-/// second training path, and the estimator now has one trainer. The
-/// encoder writes the values under which an older build behaves as this
-/// one does, and the decoder reads them and ignores them:
-///
+/// * the config's sizing-neighbour count, written as 10 (§3.3's k);
 /// * the config's training tag, written as 0 (the analytic solve). A
 ///   decoder still refuses a tag other than 0 or 1. A capture with tag 1
 ///   (the standard QP, solved by ADMM) has no trainer section, since that
 ///   path cached none, so its next refine is a cold analytic build.
 /// * the config's warm-refine limit, written as `usize::MAX` (no cap). A
-///   capture with a finite limit (v1 wrote 64) restores without it: the
-///   drift detector alone decides when a refine resamples cold.
+///   capture with a finite limit restores without it: the drift detector
+///   alone decides when a refine resamples cold.
+/// * the config's drift ratio, written as 3.0;
 /// * the trainer's warm-refine count, written as 0.
 pub const STATE_VERSION: u16 = 3;
 
@@ -164,7 +152,7 @@ fn put_config(out: &mut Vec<u8>, c: &QuickSelConfig) {
     out.put_usize(c.points_per_query);
     out.put_usize(c.subpops_per_query);
     out.put_usize(c.max_subpops);
-    out.put_usize(c.size_neighbors);
+    out.put_usize(10); // reserved: sizing-neighbour count
     out.put_f64(c.overlap_factor);
     match c.refine_policy {
         RefinePolicy::EveryQuery => out.put_u32(0),
@@ -178,17 +166,17 @@ fn put_config(out: &mut Vec<u8>, c: &QuickSelConfig) {
     out.put_u64(c.seed);
     out.put_usize(usize::MAX); // reserved: warm-refine limit
     out.put_usize(c.max_history);
-    out.put_f64(c.drift_ratio);
+    out.put_f64(3.0); // reserved: drift ratio
     out.put_usize(c.drift_patience);
 }
 
-fn get_config(r: &mut Reader<'_>, version: u16) -> Result<QuickSelConfig, PersistError> {
+fn get_config(r: &mut Reader<'_>) -> Result<QuickSelConfig, PersistError> {
     let lambda = r.f64("lambda")?;
     let ridge_rel = r.f64("ridge_rel")?;
     let points_per_query = r.usize("points_per_query")?;
     let subpops_per_query = r.usize("subpops_per_query")?;
     let max_subpops = r.usize("max_subpops")?;
-    let size_neighbors = r.usize("size_neighbors")?;
+    r.usize("sizing-neighbour count")?;
     let overlap_factor = r.f64("overlap_factor")?;
     let refine_policy = match r.u32("refine policy tag")? {
         0 => RefinePolicy::EveryQuery,
@@ -201,28 +189,19 @@ fn get_config(r: &mut Reader<'_>, version: u16) -> Result<QuickSelConfig, Persis
     }
     let seed = r.u64("seed")?;
     r.usize("warm-refine limit")?;
-    // v1 predates bounded history and drift detection: restore those
-    // knobs to values that reproduce v1 behaviour exactly (unbounded
-    // history; drift defaults match what a default-configured v1
-    // estimator now gets on upgrade).
-    let defaults = QuickSelConfig::default();
-    let (max_history, drift_ratio, drift_patience) = if version >= 2 {
-        (r.usize("max_history")?, r.f64("drift_ratio")?, r.usize("drift_patience")?)
-    } else {
-        (usize::MAX, defaults.drift_ratio, defaults.drift_patience)
-    };
+    let max_history = r.usize("max_history")?;
+    r.f64("drift ratio")?;
+    let drift_patience = r.usize("drift_patience")?;
     Ok(QuickSelConfig {
         lambda,
         ridge_rel,
         points_per_query,
         subpops_per_query,
         max_subpops,
-        size_neighbors,
         overlap_factor,
         refine_policy,
         seed,
         max_history,
-        drift_ratio,
         drift_patience,
     })
 }
@@ -334,15 +313,12 @@ fn put_trainer(out: &mut Vec<u8>, t: &TrainerState) {
     out.put_usize(0); // reserved: warm-refine count
 }
 
-fn get_trainer(r: &mut Reader<'_>, version: u16) -> Result<TrainerState, PersistError> {
+fn get_trainer(r: &mut Reader<'_>) -> Result<TrainerState, PersistError> {
     let m = r.bounded_len(4, "subpop count")?;
     if u32::try_from(m).is_err() {
         return Err(PersistError::Invalid { context: "subpop count overflows the column index" });
     }
     let subpops = (0..m).map(|_| decode_rect(r)).collect::<Result<Vec<_>, _>>()?;
-    if version < 3 {
-        return get_legacy_trainer(r, subpops, version);
-    }
     let a = get_csr(r, m)?;
     let s = get_f64s(r, "selectivity vector")?;
     let ats = get_f64s(r, "ats vector")?;
@@ -350,102 +326,7 @@ fn get_trainer(r: &mut Reader<'_>, version: u16) -> Result<TrainerState, Persist
     let lambda = r.f64("trainer lambda")?;
     let ridge_abs = r.f64("trainer ridge")?;
     r.usize("warm-refine count")?;
-    Ok(TrainerState {
-        subpops,
-        a,
-        s,
-        ats,
-        factor_lower,
-        lambda,
-        ridge_abs,
-        legacy_pending_rows: false,
-    })
-}
-
-/// Reads a v1/v2 dense matrix header: its shape and entry count.
-fn matrix_header(r: &mut Reader<'_>) -> Result<(usize, usize, usize), PersistError> {
-    let rows = r.usize("matrix rows")?;
-    let cols = r.usize("matrix cols")?;
-    let n = rows
-        .checked_mul(cols)
-        .ok_or(PersistError::Invalid { context: "matrix shape overflows" })?;
-    Ok((rows, cols, n))
-}
-
-fn get_matrix(r: &mut Reader<'_>) -> Result<DMatrix, PersistError> {
-    let (rows, cols, n) = matrix_header(r)?;
-    if n.saturating_mul(8) > r.remaining() {
-        return Err(PersistError::Truncated { context: "matrix data" });
-    }
-    let data = (0..n).map(|_| r.f64("matrix entry")).collect::<Result<Vec<_>, _>>()?;
-    Ok(DMatrix::from_vec(rows, cols, data))
-}
-
-/// Skips a dense matrix that v1/v2 trainer sections carried and the
-/// trainer no longer keeps: its claimed size is checked against the
-/// bytes left, and nothing is allocated for it.
-fn skip_matrix(r: &mut Reader<'_>, context: &'static str) -> Result<(), PersistError> {
-    let (_, _, n) = matrix_header(r)?;
-    r.bytes(n.saturating_mul(8), context).map(|_| ())
-}
-
-/// Skips a length-prefixed `f64` vector, returning its length.
-fn skip_f64s(r: &mut Reader<'_>, context: &'static str) -> Result<usize, PersistError> {
-    let n = r.bounded_len(8, context)?;
-    r.bytes(n * 8, context)?;
-    Ok(n)
-}
-
-/// Reads the rest of a v1/v2 trainer section. `Q` and `AᵀA` are skipped
-/// unread, the dense `A` keeps only its nonzeros, and the Woodbury fields
-/// are checked for consistency, then reduced to whether the capture
-/// carried any pending rows.
-fn get_legacy_trainer(
-    r: &mut Reader<'_>,
-    subpops: Vec<Rect>,
-    version: u16,
-) -> Result<TrainerState, PersistError> {
-    let m = subpops.len();
-    skip_matrix(r, "Q matrix")?;
-    let dense_a = get_matrix(r)?;
-    if dense_a.cols() != m {
-        return Err(PersistError::Invalid {
-            context: "A width does not match the subpopulation count",
-        });
-    }
-    let a = CsrMatrix::from_dense(&dense_a);
-    let s = get_f64s(r, "selectivity vector")?;
-    skip_matrix(r, "AᵀA matrix")?;
-    let ats = get_f64s(r, "ats vector")?;
-    let factor_lower = get_matrix(r)?;
-    r.f64("solver scale")?;
-    let pending_rows = skip_f64s(r, "pending rows")?;
-    let pending_solved = skip_f64s(r, "pending solves")?;
-    let pending_rank = r.usize("pending rank")?;
-    // Pending rows are `pending_rank × m`; a rank that disagrees is
-    // refused.
-    if pending_rank > pending_rows
-        || pending_rank.checked_mul(m) != Some(pending_rows)
-        || pending_solved != pending_rows
-    {
-        return Err(PersistError::Invalid { context: "pending rank disagrees with pending rows" });
-    }
-    let lambda = r.f64("trainer lambda")?;
-    let ridge_abs = r.f64("trainer ridge")?;
-    r.usize("warm-refine count")?;
-    if version >= 2 {
-        skip_f64s(r, "pending signs")?;
-    }
-    Ok(TrainerState {
-        subpops,
-        a,
-        s,
-        ats,
-        factor_lower,
-        lambda,
-        ridge_abs,
-        legacy_pending_rows: pending_rank > 0,
-    })
+    Ok(TrainerState { subpops, a, s, ats, factor_lower, lambda, ridge_abs })
 }
 
 /// Serializes a [`QuickSelState`] capture into a sectioned, checksummed
@@ -488,8 +369,6 @@ pub fn encode_state(state: &QuickSelState) -> Vec<u8> {
     }
     misc.put_usize(state.pending_since_refine);
     misc.put_u64(state.version);
-    // v2 additions: history-compaction bookkeeping and drift-detector
-    // state, appended so the v1 prefix layout is untouched.
     misc.put_u64(state.evicted_total);
     misc.put_u64(state.drift_resamples);
     misc.put_usize(state.compacted_len);
@@ -527,17 +406,17 @@ pub fn encode_state(state: &QuickSelState) -> Vec<u8> {
 }
 
 /// Parses an estimator-state container back into a [`QuickSelState`].
-/// Structural failures (bad magic, version skew, checksum mismatch,
-/// truncation) surface as their specific [`PersistError`] variants.
+/// Structural failures (bad magic, a version other than
+/// [`STATE_VERSION`], checksum mismatch, truncation) surface as their
+/// specific [`PersistError`] variants.
 pub fn decode_state(bytes: &[u8]) -> Result<QuickSelState, PersistError> {
     let c = Container::open(STATE_MAGIC, STATE_VERSION, bytes)?;
-    let version = c.version();
 
     let mut r = Reader::new(c.section(SEC_DOMAIN)?);
     let domain = decode_domain(&mut r)?;
 
     let mut r = Reader::new(c.section(SEC_CONFIG)?);
-    let config = get_config(&mut r, version)?;
+    let config = get_config(&mut r)?;
 
     let mut r = Reader::new(c.section(SEC_QUERIES)?);
     let n = r.bounded_len(12, "query count")?;
@@ -572,62 +451,21 @@ pub fn decode_state(bytes: &[u8]) -> Result<QuickSelState, PersistError> {
     }
     let pending_since_refine = r.usize("pending_since_refine")?;
     let training_version = r.u64("training version")?;
-
-    let (
-        evicted_total,
-        drift_resamples,
-        compacted_len,
-        compact_counts,
-        point_counts,
-        violation_ewma,
-        drift_strikes,
-        force_cold,
-        history_dirty,
-    ) = if version >= 2 {
-        let evicted_total = r.u64("evicted_total")?;
-        let drift_resamples = r.u64("drift_resamples")?;
-        let compacted_len = r.usize("compacted_len")?;
-        let n = r.bounded_len(8, "compact counts")?;
-        let compact_counts =
-            (0..n).map(|_| r.u64("compact count")).collect::<Result<Vec<_>, _>>()?;
-        let n = r.bounded_len(4, "point counts")?;
-        let point_counts = (0..n).map(|_| r.u32("point count")).collect::<Result<Vec<_>, _>>()?;
-        let violation_ewma = r.f64("violation_ewma")?;
-        let drift_strikes = r.u32("drift_strikes")?;
-        let force_cold = r.u32("force_cold")? != 0;
-        let history_dirty = r.u32("history_dirty")? != 0;
-        (
-            evicted_total,
-            drift_resamples,
-            compacted_len,
-            compact_counts,
-            point_counts,
-            violation_ewma,
-            drift_strikes,
-            force_cold,
-            history_dirty,
-        )
-    } else {
-        // v1 captures had no per-query point counts; reconstruct them
-        // from the generation rule (`points_per_query` workload points
-        // per observation, none inside a zero-volume predicate) and
-        // check the reconstruction against the serialized pool.
-        let point_counts: Vec<u32> = queries
-            .iter()
-            .map(|q| if q.rect.is_empty() { 0 } else { config.points_per_query as u32 })
-            .collect();
-        let total: u64 = point_counts.iter().map(|&c| u64::from(c)).sum();
-        if total != point_pool.len() as u64 {
-            return Err(PersistError::Invalid {
-                context: "v1 point pool inconsistent with points-per-query",
-            });
-        }
-        (0, 0, 0, Vec::new(), point_counts, f64::NAN, 0, false, false)
-    };
+    let evicted_total = r.u64("evicted_total")?;
+    let drift_resamples = r.u64("drift_resamples")?;
+    let compacted_len = r.usize("compacted_len")?;
+    let n = r.bounded_len(8, "compact counts")?;
+    let compact_counts = (0..n).map(|_| r.u64("compact count")).collect::<Result<Vec<_>, _>>()?;
+    let n = r.bounded_len(4, "point counts")?;
+    let point_counts = (0..n).map(|_| r.u32("point count")).collect::<Result<Vec<_>, _>>()?;
+    let violation_ewma = r.f64("violation_ewma")?;
+    let drift_strikes = r.u32("drift_strikes")?;
+    let force_cold = r.u32("force_cold")? != 0;
+    let history_dirty = r.u32("history_dirty")? != 0;
 
     let trainer = match c.section_opt(SEC_TRAINER)? {
         None => None,
-        Some(bytes) => Some(get_trainer(&mut Reader::new(bytes), version)?),
+        Some(bytes) => Some(get_trainer(&mut Reader::new(bytes))?),
     };
 
     Ok(QuickSelState {

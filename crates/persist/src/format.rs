@@ -18,8 +18,8 @@
 //! on access, so a flipped bit in one section reports
 //! [`PersistError::CorruptChecksum`] with the section named instead of
 //! feeding garbage to a decoder. Unknown trailing sections are ignored,
-//! which is what lets a newer writer add sections without breaking an
-//! older reader within the same major `version`.
+//! so a writer can add a section without changing the `version` that
+//! every reader of that kind of container requires.
 
 use crate::PersistError;
 
@@ -246,15 +246,16 @@ pub fn write_container(magic: [u8; 4], version: u16, sections: &[([u8; 4], &[u8]
 /// A parsed container header over a borrowed buffer; sections are
 /// CRC-verified lazily on access.
 pub struct Container<'a> {
-    version: u16,
     entries: Vec<([u8; 4], usize, usize, u32)>,
     payload: &'a [u8],
 }
 
 impl<'a> Container<'a> {
-    /// Parses and validates the header of `bytes`: magic, version range,
-    /// structural bounds, header CRC.
-    pub fn open(magic: [u8; 4], max_version: u16, bytes: &'a [u8]) -> Result<Self, PersistError> {
+    /// Parses and validates the header of `bytes`: magic, version,
+    /// structural bounds, header CRC. Each kind of container has one
+    /// layout, `version`; a container stamped with any other version is
+    /// refused with [`PersistError::UnsupportedVersion`].
+    pub fn open(magic: [u8; 4], version: u16, bytes: &'a [u8]) -> Result<Self, PersistError> {
         let mut r = Reader::new(bytes);
         let found = r.bytes(4, "container magic")?;
         if found != magic {
@@ -263,12 +264,9 @@ impl<'a> Container<'a> {
                 found: [found[0], found[1], found[2], found[3]],
             });
         }
-        let version = r.u16("container version")?;
-        if version == 0 || version > max_version {
-            return Err(PersistError::UnsupportedVersion {
-                found: version,
-                supported: max_version,
-            });
+        let found = r.u16("container version")?;
+        if found != version {
+            return Err(PersistError::UnsupportedVersion { found, supported: version });
         }
         let count = r.u16("section count")? as usize;
         let header_len = 4 + 2 + 2 + count * SECTION_ENTRY;
@@ -293,12 +291,7 @@ impl<'a> Container<'a> {
                 return Err(PersistError::Truncated { context: "section payload" });
             }
         }
-        Ok(Self { version, entries, payload })
-    }
-
-    /// The container's format version.
-    pub fn version(&self) -> u16 {
-        self.version
+        Ok(Self { entries, payload })
     }
 
     /// Returns a section's bytes, verifying its CRC.
@@ -415,7 +408,6 @@ mod tests {
         let bytes =
             write_container(*b"TEST", 3, &[(*b"AAAA", &[1, 2, 3]), (*b"BBBB", &[4, 5, 6, 7])]);
         let c = Container::open(*b"TEST", 3, &bytes).unwrap();
-        assert_eq!(c.version(), 3);
         assert_eq!(c.section(*b"AAAA").unwrap(), &[1, 2, 3]);
         assert_eq!(c.section(*b"BBBB").unwrap(), &[4, 5, 6, 7]);
         assert!(matches!(
@@ -432,6 +424,10 @@ mod tests {
         assert!(matches!(
             Container::open(*b"TEST", 1, &bytes),
             Err(PersistError::UnsupportedVersion { found: 2, supported: 1 })
+        ));
+        assert!(matches!(
+            Container::open(*b"TEST", 3, &bytes),
+            Err(PersistError::UnsupportedVersion { found: 2, supported: 3 })
         ));
     }
 

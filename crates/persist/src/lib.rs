@@ -64,12 +64,12 @@ pub enum PersistError {
         /// What the file actually started with.
         found: [u8; 4],
     },
-    /// The file's format version is newer than this reader understands
-    /// (or zero, which no writer produces).
+    /// The file's format version is not the one version this build
+    /// reads for its kind of file.
     UnsupportedVersion {
         /// Version stamped in the file.
         found: u16,
-        /// Newest version this build reads.
+        /// The one version this build reads.
         supported: u16,
     },
     /// A section's (or the header's) CRC32 did not match its contents.
@@ -105,7 +105,7 @@ impl std::fmt::Display for PersistError {
                 write!(f, "bad magic: expected {:?}, found {:?}", tag_str(expected), tag_str(found))
             }
             PersistError::UnsupportedVersion { found, supported } => {
-                write!(f, "unsupported format version {found} (this build reads ≤ {supported})")
+                write!(f, "unsupported format version {found} (this build reads only {supported})")
             }
             PersistError::CorruptChecksum { section } => {
                 write!(f, "checksum mismatch in section {:?}", tag_str(section))

@@ -34,7 +34,8 @@ use std::path::{Path, PathBuf};
 
 /// Magic of a WAL segment.
 pub const WAL_MAGIC: [u8; 4] = *b"QSWL";
-/// Current WAL format version.
+/// The WAL segment format version; a segment stamped with any other is
+/// refused.
 pub const WAL_VERSION: u16 = 1;
 
 /// Fixed segment header size: magic + version + first_seq + crc.
@@ -327,7 +328,7 @@ pub fn read_segment_with(path: &Path, fault: &FaultPlan) -> Result<SegmentRead, 
         });
     }
     let version = r.u16("wal version")?;
-    if version == 0 || version > WAL_VERSION {
+    if version != WAL_VERSION {
         return Err(PersistError::UnsupportedVersion { found: version, supported: WAL_VERSION });
     }
     let first_seq = r.u64("wal first seq")?;
