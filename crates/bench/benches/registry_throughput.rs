@@ -1,21 +1,16 @@
-//! Serving-layer throughput bench: sharded ingest scaling and the cached
-//! vs uncached read path, with machine-readable JSON output.
+//! Serving-layer throughput bench: sharded ingest scaling, with
+//! machine-readable JSON output.
 //!
 //! ```sh
 //! cargo bench -p quicksel-bench --bench registry_throughput
 //! ```
 //!
-//! Two measurements:
-//!
-//! * **Ingest** — the same feedback workload pushed through a
-//!   `ShardedService` at 1/2/4/8 shards, one writer thread per shard.
-//!   More shards ⇒ less writer-mutex contention *and* smaller per-shard
-//!   training sets (QuickSel retrain cost grows with observed count), so
-//!   throughput should rise with the shard count.
-//! * **Read** — repeated planner probes against a trained registry:
-//!   uncached (`EstimatorRegistry::estimate`, an `ArcCell` load per
-//!   probe) vs the per-thread `CachedProvider` (version check only at a
-//!   stable model).
+//! The same feedback workload is pushed through a `ShardedService` at
+//! 1/2/4/8 shards, one writer thread per shard. Every `observe_batch`
+//! refines the shard's learner, whatever its refine policy. More shards
+//! ⇒ less writer-mutex contention *and* smaller per-shard training sets
+//! (QuickSel retrain cost grows with observed count), so throughput
+//! should rise with the shard count.
 //!
 //! Results are printed human-readably, and a JSON document is written to
 //! `target/bench-results/registry_throughput.json` — relative to the
@@ -25,14 +20,13 @@
 
 use quicksel_core::{QuickSel, RefinePolicy};
 use quicksel_data::ObservedQuery;
-use quicksel_geometry::{Domain, Predicate, Rect};
-use quicksel_service::{CachedProvider, CardinalityProvider, EstimatorRegistry, ShardedService};
+use quicksel_geometry::{Domain, Rect};
+use quicksel_service::ShardedService;
 use std::sync::Arc;
 use std::time::Instant;
 
 const INGEST_QUERIES: usize = 192;
 const INGEST_BATCH: usize = 4;
-const READ_PROBES: usize = 200_000;
 
 fn domain() -> Domain {
     Domain::of_reals(&[("x", 0.0, 10.0), ("y", 0.0, 10.0)])
@@ -85,23 +79,6 @@ fn bench_ingest(shards: usize) -> (f64, u64) {
     (secs, ingested)
 }
 
-/// Times `READ_PROBES` estimates through `f`; returns ns/op.
-fn bench_reads(mut f: impl FnMut(&Predicate) -> f64) -> f64 {
-    let probes: Vec<Predicate> = (0..64)
-        .map(|i| {
-            let lo = (i % 8) as f64;
-            Predicate::new().range(0, lo, lo + 1.5).range(1, 0.5, 4.5)
-        })
-        .collect();
-    let start = Instant::now();
-    let mut acc = 0.0;
-    for i in 0..READ_PROBES {
-        acc += f(&probes[i % probes.len()]);
-    }
-    std::hint::black_box(acc);
-    start.elapsed().as_secs_f64() * 1e9 / READ_PROBES as f64
-}
-
 fn main() {
     let mut shard_lines = Vec::new();
     println!("registry_throughput: ingest scaling (one writer per shard)");
@@ -114,27 +91,6 @@ fn main() {
         ));
     }
 
-    // Read path: one trained table behind the registry.
-    let registry: Arc<EstimatorRegistry<QuickSel>> = Arc::new(EstimatorRegistry::new());
-    registry.register("t", sharded(4));
-    let t = "t".into();
-    registry.observe_batch(&t, &workload(64));
-    let uncached_ns = bench_reads(|p| registry.estimate(&t, p));
-    let cached_provider = CachedProvider::new(Arc::clone(&registry));
-    let cached_ns = bench_reads(|p| cached_provider.estimate(&t, p));
-    let hit_rate = cached_provider.cache_hits() as f64
-        / (cached_provider.cache_hits() + cached_provider.cache_misses()).max(1) as f64;
-    println!("registry_throughput: read path (4 shards, trained)");
-    println!("  uncached registry.estimate: {uncached_ns:.1} ns/op");
-    println!("  cached   provider.estimate: {cached_ns:.1} ns/op (hit rate {:.4})", hit_rate);
-
-    let fields = format!(
-        "\"ingest\":[{}],\"read\":{{\"probes\":{},\"uncached_ns_per_op\":{:.2},\"cached_ns_per_op\":{:.2},\"cache_hit_rate\":{:.6}}}",
-        shard_lines.join(","),
-        READ_PROBES,
-        uncached_ns,
-        cached_ns,
-        hit_rate
-    );
+    let fields = format!("\"ingest\":[{}]", shard_lines.join(","));
     quicksel_bench::write_bench_json("registry_throughput", "REGISTRY_BENCH_OUT", &fields);
 }

@@ -56,8 +56,7 @@ fn check_domain(
 ///
 /// Several engines (one per table) can share one provider — an
 /// [`EstimatorRegistry`](quicksel_service::EstimatorRegistry) serving
-/// every table, or a per-thread
-/// [`CachedProvider`](quicksel_service::CachedProvider) over it.
+/// every table.
 pub struct Engine {
     catalog: Catalog,
     table: TableId,

@@ -3,7 +3,7 @@
 //!
 //! ```text
 //! quicksel-server [--addr HOST:PORT] [--dir DIR] [--table NAME:DIMS ...]
-//!                 [--shards N] [--workers N] [--ingest-rate ROWS_PER_S]
+//!                 [--workers N] [--ingest-rate ROWS_PER_S]
 //!                 [--replica-of HOST:PORT] [--sync-interval-ms N]
 //! ```
 //!
@@ -14,9 +14,9 @@
 //!   `--table`s are registered durably; without it the registry is
 //!   in-memory.
 //! * `--table NAME:DIMS` — register a table with a `DIMS`-dimensional
-//!   unit-cube domain (repeatable). Tables recovered from `--dir` do not
-//!   need re-declaring.
-//! * `--shards` — routing shards per table (default 2).
+//!   unit-cube domain and one learner (repeatable). Tables recovered
+//!   from `--dir` do not need re-declaring, and keep the shard count
+//!   their table meta records.
 //! * `--workers` — serving threads (default: the workspace thread-pool
 //!   sizing, `quicksel_parallel::default_threads`).
 //! * `--ingest-rate` — per-table feedback admission rate in rows/s
@@ -51,7 +51,6 @@ struct Args {
     addr: String,
     dir: Option<String>,
     tables: Vec<(String, usize)>,
-    shards: usize,
     workers: usize,
     ingest_rate: f64,
     replica_of: Option<String>,
@@ -61,7 +60,7 @@ struct Args {
 fn usage() -> ExitCode {
     eprintln!(
         "usage: quicksel-server [--addr HOST:PORT] [--dir DIR] [--table NAME:DIMS ...]\n\
-         \x20                      [--shards N] [--workers N] [--ingest-rate ROWS_PER_S]\n\
+         \x20                      [--workers N] [--ingest-rate ROWS_PER_S]\n\
          \x20                      [--replica-of HOST:PORT] [--sync-interval-ms N]"
     );
     ExitCode::FAILURE
@@ -72,7 +71,6 @@ fn parse_args() -> Result<Args, String> {
         addr: "127.0.0.1:7878".to_string(),
         dir: None,
         tables: Vec::new(),
-        shards: 2,
         workers: 0,
         ingest_rate: f64::INFINITY,
         replica_of: None,
@@ -95,9 +93,6 @@ fn parse_args() -> Result<Args, String> {
                     return Err(format!("bad table spec {spec:?}"));
                 }
                 args.tables.push((name.to_string(), dims));
-            }
-            "--shards" => {
-                args.shards = value("--shards")?.parse().map_err(|_| "bad --shards".to_string())?
             }
             "--workers" => {
                 args.workers =
@@ -255,7 +250,7 @@ fn main() -> ExitCode {
                     dir,
                     name.as_str(),
                     domain,
-                    args.shards,
+                    1,
                     opts.clone(),
                     |shard| learner(&d, shard),
                 ) {
@@ -270,8 +265,7 @@ fn main() -> ExitCode {
             for (name, dims) in &args.tables {
                 let domain = unit_cube(*dims);
                 let d = domain.clone();
-                registry
-                    .register_with(name.as_str(), domain, args.shards, |shard| learner(&d, shard));
+                registry.register_with(name.as_str(), domain, 1, |shard| learner(&d, shard));
             }
             Arc::new(registry)
         }

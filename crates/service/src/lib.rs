@@ -33,9 +33,6 @@
 //!   [`estimate`](CardinalityProvider::estimate) /
 //!   [`observe`](CardinalityProvider::observe) are provided
 //!   batch-of-one wrappers, so there is one path per operation.
-//! * [`CachedProvider`] — a per-thread registry wrapper that re-uses
-//!   shard snapshots while the shard's version is unchanged, dropping
-//!   even the `ArcCell` atomics from repeated planner probes.
 //! * **Durability** (backed by [`quicksel_persist`]) —
 //!   [`SelectivityService::open_durable`] /
 //!   [`ShardedService::open_durable`] /
@@ -82,7 +79,7 @@ pub mod service;
 pub mod shard;
 pub mod swap;
 
-pub use provider::{CachedProvider, CardinalityProvider, LearnerProvider, TableId};
+pub use provider::{CardinalityProvider, LearnerProvider, TableId};
 pub use rate::{RateMeter, RATE_WINDOW_SECS};
 pub use registry::{
     EstimatorRegistry, RecoveryReport, RegistryStats, ReplicationGauges, ReplicationStats,

@@ -7,23 +7,15 @@
 //! back observed selectivities, and nothing else — and the serving side
 //! decides how estimates are produced:
 //!
-//! * [`EstimatorRegistry`] — the production
+//! * [`EstimatorRegistry`](crate::EstimatorRegistry) — the production
 //!   path: per-table sharded services, lock-free snapshot reads.
-//! * [`CachedProvider`] — a per-thread wrapper over the registry that
-//!   caches shard snapshots keyed on the shard's published version, so
-//!   repeated estimates at the same version skip even the `ArcCell`
-//!   atomics.
 //! * [`LearnerProvider`] — a mutex-serialized fallback that adapts *any*
 //!   [`Learn`] implementation (the scan-based and histogram baselines
 //!   included), for tests and comparisons where snapshot support is not
 //!   available.
 
-use crate::registry::EstimatorRegistry;
-use crate::service::SharedSnapshot;
-use crate::shard::ShardedService;
-use quicksel_data::{Learn, ObservedQuery, SnapshotSource, Table};
+use quicksel_data::{Learn, ObservedQuery, Table};
 use quicksel_geometry::{Domain, Predicate, Rect};
-use std::cell::{Cell, RefCell};
 use std::collections::HashMap;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering::SeqCst};
@@ -43,14 +35,6 @@ impl TableId {
     /// The table name.
     pub fn as_str(&self) -> &str {
         &self.0
-    }
-
-    /// Equality with a pointer-compare fast path: planner call sites
-    /// re-use one cloned `TableId`, so identity usually decides without
-    /// touching the string bytes. Used by the per-thread cache lookup.
-    #[inline]
-    pub fn fast_eq(&self, other: &TableId) -> bool {
-        Arc::ptr_eq(&self.0, &other.0) || self.0 == other.0
     }
 }
 
@@ -76,11 +60,10 @@ impl fmt::Display for TableId {
 /// feeds) selectivity estimates.
 ///
 /// Estimation methods take `&self` so a provider can be shared across
-/// planner call sites; implementations synchronize internally (or, like
-/// [`CachedProvider`], are intentionally per-thread). A provider that
-/// does not know `table` must degrade safely: estimate `1.0` (the
-/// conservative answer — the planner falls back to the sequential scan)
-/// and drop feedback rather than panic.
+/// planner call sites; implementations synchronize internally. A
+/// provider that does not know `table` must degrade safely: estimate
+/// `1.0` (the conservative answer — the planner falls back to the
+/// sequential scan) and drop feedback rather than panic.
 pub trait CardinalityProvider {
     /// Selectivity estimates in `[0, 1]` for a batch of predicates on one
     /// table, in input order — the planner's candidate-plan probe path
@@ -157,169 +140,6 @@ pub trait CardinalityProvider {
     }
 }
 
-/// Per-(table, shard) snapshot cache entry: the shard's published
-/// version at load time plus the snapshot itself.
-type CachedShard = Option<(u64, SharedSnapshot)>;
-
-struct TableCache<L: SnapshotSource> {
-    service: Arc<ShardedService<L>>,
-    shards: Vec<CachedShard>,
-}
-
-/// A **per-thread** read-path accelerator over an
-/// [`EstimatorRegistry`].
-///
-/// `ArcCell::load` costs a handful of atomic operations per estimate;
-/// under millions of planner probes per second those atomics are the
-/// remaining shared-memory traffic on the read path. `CachedProvider`
-/// removes them for the common case: it remembers the snapshot it last
-/// loaded from each shard together with that shard's
-/// [`version()`](crate::SelectivityService::version), and as long as the
-/// version is unchanged (one relaxed-cost atomic load to check) it
-/// re-uses the cached snapshot without touching the `ArcCell`.
-///
-/// The type is deliberately **not** `Sync` (interior `RefCell`): create
-/// one per planner thread over a shared `Arc<EstimatorRegistry>`. Writes
-/// pass straight through to the registry.
-///
-/// The table cache is a small move-to-front vector probed with
-/// [`TableId::fast_eq`], not a hash map: a planner serves a handful of
-/// hot tables and re-uses cloned ids, so the common lookup is a pointer
-/// compare on the first slot — cheaper than re-hashing the table name on
-/// every probe.
-pub struct CachedProvider<L: SnapshotSource> {
-    registry: Arc<EstimatorRegistry<L>>,
-    cache: RefCell<Vec<(TableId, TableCache<L>)>>,
-    /// Registry generation the cache was built against; a mismatch means
-    /// tables were registered/removed since, and every cached resolution
-    /// is dropped (DDL is rare, so wholesale invalidation is fine).
-    generation: Cell<u64>,
-    hits: Cell<u64>,
-    misses: Cell<u64>,
-}
-
-impl<L: SnapshotSource> CachedProvider<L> {
-    /// Wraps a shared registry with a fresh (empty) snapshot cache.
-    pub fn new(registry: Arc<EstimatorRegistry<L>>) -> Self {
-        let generation = Cell::new(registry.generation());
-        Self {
-            registry,
-            cache: RefCell::new(Vec::new()),
-            generation,
-            hits: Cell::new(0),
-            misses: Cell::new(0),
-        }
-    }
-
-    /// The underlying registry.
-    pub fn registry(&self) -> &Arc<EstimatorRegistry<L>> {
-        &self.registry
-    }
-
-    /// Estimates served from a cached snapshot (version unchanged).
-    pub fn cache_hits(&self) -> u64 {
-        self.hits.get()
-    }
-
-    /// Estimates that had to load a fresh snapshot (cold or stale).
-    pub fn cache_misses(&self) -> u64 {
-        self.misses.get()
-    }
-
-    /// Drops every cached snapshot (e.g. after deregistering a table).
-    pub fn invalidate(&self) {
-        self.cache.borrow_mut().clear();
-    }
-
-    /// The front half of a cached batch: revalidates against registry
-    /// DDL (registration/removal bumps the generation — one atomic load
-    /// per batch; stale table→service resolutions must not keep serving
-    /// a dead service's snapshots), then resolves `table`'s cache entry
-    /// to position 0, moving it to the front so the hot table stays a
-    /// one-compare hit. Returns `false` when the registry doesn't know
-    /// the table — the caller degrades through the registry's own
-    /// conservative fallback.
-    fn resolve_entry(&self, cache: &mut Vec<(TableId, TableCache<L>)>, table: &TableId) -> bool {
-        let generation = self.registry.generation();
-        if generation != self.generation.get() {
-            cache.clear();
-            self.generation.set(generation);
-        }
-        match cache.iter().position(|(id, _)| id.fast_eq(table)) {
-            Some(0) => {}
-            Some(i) => cache.swap(0, i),
-            None => {
-                let Some(service) = self.registry.get(table) else {
-                    return false;
-                };
-                let shards = vec![None; service.shard_count()];
-                cache.insert(0, (table.clone(), TableCache { service, shards }));
-            }
-        }
-        true
-    }
-}
-
-impl<L: SnapshotSource> CardinalityProvider for CachedProvider<L> {
-    /// Batched probes through the per-thread snapshot cache: the table is
-    /// resolved once, rects are grouped by routing shard, each group is
-    /// answered by one (cached or freshly loaded) snapshot through the
-    /// SoA kernel, and blend-routed rects go through the service's
-    /// batched blend. Hit/miss counters move by the number of *probes*
-    /// each snapshot lookup served.
-    fn estimate_many(&self, table: &TableId, preds: &[Predicate]) -> Vec<f64> {
-        if preds.is_empty() {
-            return Vec::new();
-        }
-        let mut cache = self.cache.borrow_mut();
-        if !self.resolve_entry(&mut cache, table) {
-            drop(cache);
-            return self.registry.estimate_many(table, preds);
-        }
-        let entry = &mut cache[0].1;
-        let service = Arc::clone(&entry.service);
-        let cached_shards = &mut entry.shards;
-        let rects: Vec<Rect> = preds.iter().map(|p| p.to_rect(service.domain())).collect();
-        // One dispatch core for cached and uncached batches (see
-        // `ShardedService::estimate_many_with`); this closure only
-        // decides where each shard group's single snapshot comes from.
-        service.estimate_many_with(&rects, |s, group_len| {
-            let shard = service.shard(s);
-            let version = shard.version();
-            if let Some((cached_version, snap)) = &cached_shards[s] {
-                if *cached_version == version {
-                    self.hits.set(self.hits.get() + group_len as u64);
-                    return Arc::clone(snap);
-                }
-            }
-            self.misses.set(self.misses.get() + group_len as u64);
-            let snap = shard.snapshot();
-            cached_shards[s] = Some((version, Arc::clone(&snap)));
-            snap
-        })
-    }
-
-    fn observe_batch(&self, table: &TableId, batch: &[ObservedQuery]) {
-        self.registry.observe_batch(table, batch);
-    }
-
-    fn sync_data(&self, table: &TableId, data: &Table, changed_rows: usize) {
-        self.registry.sync_data(table, data, changed_rows);
-    }
-
-    fn version(&self, table: &TableId) -> u64 {
-        self.registry.version(table)
-    }
-
-    fn domain_of(&self, table: &TableId) -> Option<Domain> {
-        self.registry.domain_of(table)
-    }
-
-    fn generation(&self) -> u64 {
-        self.registry.generation()
-    }
-}
-
 struct LearnerEntry {
     domain: Domain,
     learner: Mutex<Box<dyn Learn + Send>>,
@@ -328,12 +148,13 @@ struct LearnerEntry {
 
 /// Mutex-serialized provider over arbitrary [`Learn`] implementations.
 ///
-/// The registry path requires [`SnapshotSource`]; the scan-based and
+/// The registry path requires
+/// [`SnapshotSource`](quicksel_data::SnapshotSource); the scan-based and
 /// histogram baselines don't implement it. This adapter makes any
 /// learner usable behind the [`CardinalityProvider`] seam by locking a
 /// per-table mutex around both reads and writes — fine for tests,
 /// comparisons, and single-threaded engines; wrong for high-QPS serving
-/// (use [`EstimatorRegistry`] there).
+/// (use [`EstimatorRegistry`](crate::EstimatorRegistry) there).
 #[derive(Default)]
 pub struct LearnerProvider {
     tables: RwLock<HashMap<TableId, Arc<LearnerEntry>>>,
@@ -431,8 +252,8 @@ impl CardinalityProvider for LearnerProvider {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::EstimatorRegistry;
     use quicksel_core::{QuickSel, RefinePolicy};
-    use quicksel_geometry::Rect;
 
     fn domain() -> Domain {
         Domain::of_reals(&[("x", 0.0, 10.0), ("y", 0.0, 10.0)])
@@ -457,98 +278,50 @@ mod tests {
     }
 
     #[test]
-    fn cached_provider_hits_at_stable_versions() {
-        let reg = registry(2);
-        let cached = CachedProvider::new(Arc::clone(&reg));
-        let t: TableId = "t".into();
-        let pred = Predicate::new().range(0, 1.0, 3.0);
-
-        // Cold: miss. Stable version: hits, identical answers.
-        let a = cached.estimate(&t, &pred);
-        assert_eq!(cached.cache_misses(), 1);
-        let b = cached.estimate(&t, &pred);
-        assert_eq!(cached.cache_hits(), 1);
-        assert_eq!(a, b);
-        assert_eq!(a, reg.estimate(&t, &pred));
-
-        // Training bumps the owning shard's version → one miss, then
-        // hits again, now reflecting the new model.
-        let rect = pred.to_rect(&domain());
-        reg.observe(&t, &ObservedQuery::new(rect, 0.9));
-        let c = cached.estimate(&t, &pred);
-        assert_eq!(cached.cache_misses(), 2);
-        assert!((c - 0.9).abs() < 0.05);
-        let d = cached.estimate(&t, &pred);
-        assert_eq!(cached.cache_hits(), 2);
-        assert_eq!(c, d);
-    }
-
-    #[test]
-    fn cached_scalar_probes_count_toward_the_estimate_rate() {
+    fn scalar_probes_count_toward_the_estimate_rate() {
         let reg = registry(1);
-        let cached = CachedProvider::new(Arc::clone(&reg));
         let t: TableId = "t".into();
         let pred = Predicate::new().range(0, 1.0, 3.0);
         for _ in 0..100 {
-            cached.estimate(&t, &pred);
+            reg.estimate(&t, &pred);
         }
         let rate = reg.stats().total.estimate_rects_per_s;
         assert!(rate >= 100.0 / crate::RATE_WINDOW_SECS as f64, "estimate rate {rate}");
     }
 
     #[test]
-    fn cached_provider_matches_registry_on_blended_probes() {
-        let reg = registry(4);
-        let cached = CachedProvider::new(Arc::clone(&reg));
-        let t: TableId = "t".into();
-        for i in 0..16 {
-            let lo = (i % 6) as f64;
-            let rect = Rect::from_bounds(&[(lo, lo + 2.0), (lo, lo + 2.0)]);
-            reg.observe(&t, &ObservedQuery::new(rect, 0.4));
-        }
-        let wide = Predicate::new(); // the full domain: blended path
-        assert_eq!(cached.estimate(&t, &wide), reg.estimate(&t, &wide));
-        let narrow = Predicate::new().range(0, 2.0, 3.0).range(1, 2.0, 3.0);
-        assert_eq!(cached.estimate(&t, &narrow), reg.estimate(&t, &narrow));
-    }
-
-    #[test]
-    fn cached_provider_tracks_registry_ddl() {
+    fn registry_estimates_track_ddl() {
         let reg = registry(2);
-        let cached = CachedProvider::new(Arc::clone(&reg));
         let t: TableId = "t".into();
         let pred = Predicate::new().range(0, 1.0, 3.0);
-        let before = cached.estimate(&t, &pred); // caches the service
-        assert!(before < 1.0);
+        assert!(reg.estimate(&t, &pred) < 1.0);
 
-        // Removing the table invalidates the cached resolution: the next
-        // probe degrades to the registry's conservative 1.0 instead of
+        // A removed table degrades to the conservative 1.0 instead of
         // answering from the dead service's snapshots.
         reg.remove(&t).expect("registered");
-        assert_eq!(cached.estimate(&t, &pred), 1.0);
+        assert_eq!(reg.estimate(&t, &pred), 1.0);
 
         // Re-registering (fresh learners) is picked up the same way.
         let d = domain();
-        reg.register_with("t", d.clone(), 3, |i| {
+        let service = reg.register_with("t", d.clone(), 3, |i| {
             QuickSel::builder(d.clone())
                 .refine_policy(RefinePolicy::Manual)
                 .seed(100 + i as u64)
                 .build()
         });
-        let fresh = cached.estimate(&t, &pred);
-        assert_eq!(fresh, reg.estimate(&t, &pred));
+        let fresh = reg.estimate(&t, &pred);
+        assert_eq!(fresh, service.estimate(&pred.to_rect(&d)));
         assert!(fresh < 1.0, "fresh service answers from its prior");
     }
 
     #[test]
     fn unknown_tables_degrade_conservatively() {
         let reg = registry(2);
-        let cached = CachedProvider::new(Arc::clone(&reg));
         let ghost: TableId = "ghost".into();
         let pred = Predicate::new().range(0, 0.0, 1.0);
-        assert_eq!(cached.estimate(&ghost, &pred), 1.0);
-        cached.observe(&ghost, &ObservedQuery::new(Rect::from_bounds(&[(0.0, 1.0)]), 0.5));
-        assert_eq!(cached.version(&ghost), 0);
+        assert_eq!(reg.estimate(&ghost, &pred), 1.0);
+        reg.observe(&ghost, &ObservedQuery::new(Rect::from_bounds(&[(0.0, 1.0)]), 0.5));
+        assert_eq!(reg.version(&ghost), 0);
         let stats = reg.stats();
         assert_eq!(stats.missing_table_probes, 1);
         assert_eq!(stats.dropped_feedback, 1);

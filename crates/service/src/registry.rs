@@ -11,9 +11,7 @@
 //! an [`ArcCell`] without ever taking a lock, while `register`/`remove`
 //! serialize on a DDL mutex, clone the map, and atomically publish the
 //! successor — so a registration can never block (or be blocked by) the
-//! estimate hot path. The per-thread
-//! [`CachedProvider`](crate::CachedProvider) removes even the snapshot
-//! load for repeated probes.
+//! estimate hot path.
 
 use crate::provider::{CardinalityProvider, TableId};
 use crate::service::{ServiceStats, ShardRecovery};
@@ -167,8 +165,7 @@ pub struct EstimatorRegistry<L: SnapshotSource> {
     /// compare-and-swap, so concurrent clone-mutate-publish cycles would
     /// lose updates without it). Never held on the read path.
     ddl: Mutex<()>,
-    /// Bumped by every `register`/`remove`; caches key their table→service
-    /// resolution on it so DDL invalidates them (see
+    /// Bumped by every `register`/`remove` (see
     /// [`generation`](Self::generation)).
     generation: AtomicU64,
     missing_table_probes: AtomicU64,
@@ -246,9 +243,8 @@ impl<L: SnapshotSource> EstimatorRegistry<L> {
     }
 
     /// Monotone counter bumped by every [`register`](Self::register) /
-    /// [`remove`](Self::remove). Callers that cache table→service
-    /// resolutions (e.g. [`CachedProvider`](crate::CachedProvider))
-    /// compare it to detect DDL and drop stale entries.
+    /// [`remove`](Self::remove). Engines compare it to detect DDL and
+    /// re-run their domain check.
     pub fn generation(&self) -> u64 {
         self.generation.load(SeqCst)
     }

@@ -193,27 +193,6 @@ impl<L: SnapshotSource> ShardedService<L> {
     ///   blend of the per-shard scalar estimates in shard order (the
     ///   kernel's exactness contract plus a serial blend fold).
     pub fn estimate_many(&self, rects: &[Rect]) -> Vec<f64> {
-        self.estimate_many_with(rects, |shard, _| self.shards[shard].snapshot())
-    }
-
-    /// The one group-and-scatter core behind every read path: routes
-    /// each rect (blend when it [`spans_partitions`](Self::spans_partitions),
-    /// otherwise its [`shard_for`](Self::shard_for) owner), answers each
-    /// shard-routed group from the **single** snapshot
-    /// `snapshot_for_shard(shard, group_len)` returns (called at most
-    /// once per shard per call), and blends the wide rects across every
-    /// shard.
-    ///
-    /// [`estimate_many`](Self::estimate_many) plugs in a plain
-    /// `snapshot()` load; [`CachedProvider`](crate::CachedProvider)
-    /// plugs in its version-keyed per-thread cache. Because both share
-    /// this dispatch, cached and uncached batched answers can never
-    /// diverge on routing.
-    pub(crate) fn estimate_many_with(
-        &self,
-        rects: &[Rect],
-        mut snapshot_for_shard: impl FnMut(usize, usize) -> SharedSnapshot,
-    ) -> Vec<f64> {
         if rects.is_empty() {
             return Vec::new();
         }
@@ -221,7 +200,7 @@ impl<L: SnapshotSource> ShardedService<L> {
             // Everything routes to shard 0 (blending needs ≥ 2 shards):
             // one snapshot serves the whole batch.
             self.shards[0].note_estimates(rects.len() as u64);
-            return snapshot_for_shard(0, rects.len()).estimate_many(rects);
+            return self.shards[0].snapshot().estimate_many(rects);
         }
         let mut out = vec![0.0; rects.len()];
         let mut per_shard: Vec<Vec<usize>> = vec![Vec::new(); self.shards.len()];
@@ -233,18 +212,17 @@ impl<L: SnapshotSource> ShardedService<L> {
                 per_shard[self.shard_for(rect)].push(i);
             }
         }
-        // Resolve snapshots serially (the provider hook is `FnMut` and
-        // snapshot-load order is part of the coherence contract), then
-        // evaluate the per-shard groups — independent index lists into
-        // the caller's batch — concurrently on the workspace pool.
+        // Resolve snapshots serially (snapshot-load order is part of the
+        // coherence contract), then evaluate the per-shard groups —
+        // independent index lists into the caller's batch — concurrently
+        // on the workspace pool.
         let groups: Vec<(&Vec<usize>, SharedSnapshot)> = per_shard
             .iter()
             .enumerate()
             .filter(|(_, indexes)| !indexes.is_empty())
             .map(|(shard, indexes)| {
                 self.shards[shard].note_estimates(indexes.len() as u64);
-                let snapshot = snapshot_for_shard(shard, indexes.len());
-                (indexes, snapshot)
+                (indexes, self.shards[shard].snapshot())
             })
             .collect();
         // Gather, don't clone: each group is an index list into the
@@ -258,9 +236,6 @@ impl<L: SnapshotSource> ShardedService<L> {
             }
         }
         if !blended.is_empty() {
-            // Wide probes blend per-shard publish state and are served
-            // uncached by design, whatever snapshot source the caller
-            // plugged in.
             for (&i, e) in blended.iter().zip(self.blend_gather(rects, &blended)) {
                 out[i] = e;
             }

@@ -1,5 +1,5 @@
 //! Service-layer batched-estimation equivalence: at a fixed model
-//! version, every batched path (sharded service, registry, cached
+//! version, every batched path (sharded service, registry, learner
 //! provider, cross-shard blend) must compare equal to its per-rect
 //! scalar counterpart.
 
@@ -7,10 +7,8 @@ use quicksel_core::{QuickSel, RefinePolicy};
 use quicksel_data::ObservedQuery;
 use quicksel_geometry::{Domain, Predicate, Rect};
 use quicksel_service::{
-    CachedProvider, CardinalityProvider, EstimatorRegistry, LearnerProvider, ShardedService,
-    TableId,
+    CardinalityProvider, EstimatorRegistry, LearnerProvider, ShardedService, TableId,
 };
-use std::sync::Arc;
 
 fn domain() -> Domain {
     Domain::of_reals(&[("x", 0.0, 10.0), ("y", 0.0, 10.0)])
@@ -99,8 +97,8 @@ fn batched_blend_equals_per_rect_scalar_blend() {
 }
 
 #[test]
-fn registry_and_cached_provider_batches_equal_scalar() {
-    let reg: Arc<EstimatorRegistry<QuickSel>> = Arc::new(EstimatorRegistry::new());
+fn registry_batches_equal_scalar() {
+    let reg: EstimatorRegistry<QuickSel> = EstimatorRegistry::new();
     let d = domain();
     reg.register_with("t", d.clone(), 4, |i| {
         QuickSel::builder(d.clone()).refine_policy(RefinePolicy::Manual).seed(i as u64).build()
@@ -124,17 +122,9 @@ fn registry_and_cached_provider_batches_equal_scalar() {
         assert_eq!(e, reg.estimate(&t, p), "registry batch diverged");
     }
 
-    let cached = CachedProvider::new(Arc::clone(&reg));
-    // Twice: cold (misses) then warm (hits) — identical both times.
-    for round in 0..2 {
-        let from_cache = cached.estimate_many(&t, &preds);
-        assert_eq!(from_cache, from_registry, "cached batch diverged on round {round}");
-    }
-    assert!(cached.cache_hits() > 0, "second round should hit the snapshot cache");
-
     // Unknown tables degrade to all-1.0 and count every probe.
     let ghost: TableId = "ghost".into();
-    assert_eq!(cached.estimate_many(&ghost, &preds), vec![1.0; preds.len()]);
+    assert_eq!(reg.estimate_many(&ghost, &preds), vec![1.0; preds.len()]);
     assert_eq!(reg.stats().missing_table_probes, preds.len() as u64);
 }
 

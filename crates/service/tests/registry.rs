@@ -6,9 +6,7 @@ use proptest::prelude::*;
 use quicksel_core::{QuickSel, RefinePolicy};
 use quicksel_data::{route_hash, ObservedQuery};
 use quicksel_geometry::{Domain, Interval, Predicate, Rect};
-use quicksel_service::{
-    CachedProvider, CardinalityProvider, EstimatorRegistry, ShardedService, TableId,
-};
+use quicksel_service::{CardinalityProvider, EstimatorRegistry, ShardedService, TableId};
 use std::sync::Arc;
 
 fn domain() -> Domain {
@@ -50,7 +48,7 @@ proptest! {
     /// Same predicate → same estimate across calls (bit-identical): the
     /// owning shard answers from one published snapshot, and with no
     /// intervening training nothing may drift — including through the
-    /// registry and the cached provider.
+    /// registry.
     #[test]
     fn prop_estimates_are_consistent(rect in arb_rect(), train in arb_rect()) {
         let svc = Arc::new(sharded(4, 17));
@@ -65,15 +63,12 @@ proptest! {
         if !svc.spans_partitions(&rect) {
             prop_assert_eq!(svc.shard(svc.shard_for(&rect)).estimate(&rect), first);
         }
-        // The registry and the per-thread cache answer identically.
-        let reg = Arc::new(EstimatorRegistry::new());
+        // The registry answers identically.
+        let reg = EstimatorRegistry::new();
         reg.register("t", Arc::clone(&svc));
         let t = TableId::from("t");
         let pred = Predicate::from_rect(&rect);
         prop_assert_eq!(reg.estimate(&t, &pred), first);
-        let cached = CachedProvider::new(Arc::clone(&reg));
-        prop_assert_eq!(cached.estimate(&t, &pred), first);
-        prop_assert_eq!(cached.estimate(&t, &pred), first);
     }
 }
 

@@ -8,11 +8,10 @@
 //! One `EstimatorRegistry` serves several tables; each table's feedback
 //! is partitioned across shards by a deterministic predicate hash, so
 //! one writer per shard retrains without contention while planner
-//! threads estimate lock-free — here through per-thread
-//! `CachedProvider`s that skip even the snapshot-swap atomics when the
-//! model version is unchanged. Writer fan-out goes through the
-//! workspace thread pool (`quicksel::parallel`), the same substrate the
-//! training and estimation kernels parallelize on.
+//! threads estimate lock-free through the shared registry. Writer
+//! fan-out goes through the workspace thread pool (`quicksel::parallel`),
+//! the same substrate the training and estimation kernels parallelize
+//! on.
 
 use quicksel::parallel::ThreadPool;
 use quicksel::prelude::*;
@@ -66,30 +65,24 @@ fn main() {
         });
     }
 
-    // Read side: planner threads, each with its own CachedProvider.
+    // Read side: planner threads sharing the registry.
     let mut readers = Vec::new();
     for r in 0..READER_THREADS {
         let registry = Arc::clone(&registry);
         let ids: Vec<TableId> = tables.iter().map(|(id, _)| id.clone()).collect();
         readers.push(thread::spawn(move || {
-            let cached = CachedProvider::new(registry);
             let mut acc = 0.0;
             for i in 0..PROBES_PER_READER {
                 let id = &ids[(r + i) % ids.len()];
                 let lo = -1.5 + (i % 10) as f64 * 0.25;
                 let pred = Predicate::new().range(0, lo, lo + 0.8).range(1, lo, lo + 1.2);
-                acc += cached.estimate(id, &pred);
+                acc += registry.estimate(id, &pred);
             }
-            (acc, cached.cache_hits(), cached.cache_misses())
+            acc
         }));
     }
-    let mut hits = 0u64;
-    let mut misses = 0u64;
     for reader in readers {
-        let (acc, h, m) = reader.join().expect("reader panicked");
-        assert!(acc.is_finite());
-        hits += h;
-        misses += m;
+        assert!(reader.join().expect("reader panicked").is_finite());
     }
 
     let stats = registry.stats();
@@ -105,11 +98,6 @@ fn main() {
         let spread: Vec<u64> = t.per_shard.iter().map(|s| s.queries_ingested).collect();
         println!("  {id}: per-shard feedback {spread:?}");
     }
-    println!(
-        "readers: {} probes, snapshot-cache hit rate {:.4}",
-        hits + misses,
-        hits as f64 / (hits + misses).max(1) as f64
-    );
 
     // The learned estimates beat the uniform prior on every table.
     for (id, table) in &tables {

@@ -12,10 +12,9 @@
 //! * [`EstimatorRegistry`] / [`ShardedService`] / [`CardinalityProvider`]
 //!   — the multi-table serving layer: per-table sharded estimators with
 //!   deterministic feedback routing behind the planner-facing provider
-//!   API, plus the per-thread [`CachedProvider`] read accelerator. Every
-//!   layer from the provider seam down to the SoA kernel has one
-//!   batched estimate path (`estimate_many`); scalar `estimate` calls
-//!   are batches of one,
+//!   API. Every layer from the provider seam down to the SoA kernel has
+//!   one batched estimate path (`estimate_many`); scalar `estimate`
+//!   calls are batches of one,
 //! * [`geometry`] — predicates, hyperrectangles, domains,
 //! * [`linalg`] — the dense solvers behind training,
 //! * [`parallel`] — the workspace thread pool the training and batched
@@ -125,9 +124,9 @@ pub use quicksel_net::{
 pub use quicksel_persist::{DurabilityOptions, PersistError, PersistLearner};
 pub use quicksel_replica::{ReplicaAgent, ReplicaBackend, ReplicaOptions};
 pub use quicksel_service::{
-    CachedProvider, CardinalityProvider, EstimatorRegistry, HealthState, LearnerProvider,
-    RecoveryReport, RegistryStats, SelectivityService, ServiceStats, ShardRecovery, ShardedService,
-    ShardedStats, SharedSnapshot, TableId,
+    CardinalityProvider, EstimatorRegistry, HealthState, LearnerProvider, RecoveryReport,
+    RegistryStats, SelectivityService, ServiceStats, ShardRecovery, ShardedService, ShardedStats,
+    SharedSnapshot, TableId,
 };
 
 /// Convenience imports covering the common workflow.
@@ -139,7 +138,6 @@ pub mod prelude {
     };
     pub use quicksel_geometry::{Domain, Predicate, Rect};
     pub use quicksel_service::{
-        CachedProvider, CardinalityProvider, EstimatorRegistry, SelectivityService, ShardedService,
-        TableId,
+        CardinalityProvider, EstimatorRegistry, SelectivityService, ShardedService, TableId,
     };
 }
